@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 
 from .scalars import (Rational, Vector, Matrix, DimensionError,
                       SingularMatrixError, rational, rational_str, vector,
-                      matrix, identity, mat_vec, solve_linear)
-from .catalog import (AlgebraId, Weight, Root, AlgebraData,
-                      InvalidAlgebraError, AlgebraMismatchError, IsotropyError,
-                      build_algebra, pair, coroot_pair, fundamental_weights,
+                      solve_linear)
+from .catalog import (FamilySpec, FAMILY_TABLE, AlgebraId, Weight, Root,
+                      AlgebraData, InvalidAlgebraError, AlgebraMismatchError,
+                      IsotropyError, build_algebra, pair, coroot_pair,
                       selfcheck_algebra, expected_h_check, expected_chi,
                       algebra_json)
 from .affine import (AffineWeight, AffineRoot, SimpleRootSet, ReflectionError,

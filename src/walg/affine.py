@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import (AlgebraData, AlgebraMismatchError, IsotropyError,
-                      Weight, ambient_dim, pair, weight_json)
+                      Weight, pair, weight_json)
 from .report import Report
 from .scalars import rational
 
@@ -47,7 +47,7 @@ class ReflectionError(ValueError):
 
 
 def zero_weight(alg: AlgebraData) -> Weight:
-    return Weight(alg.id, [0] * ambient_dim(alg.id))
+    return Weight(alg.id, [0] * alg.id.dim)
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,27 @@ theta - gamma_1 - gamma_2 = -theta_i, and derived invariants: the Weyl
 vectors rho and rho-natural, the g-natural highest weight xi of the
 half-grading, the integers chi_i = -xi(theta_i-coroot), and the dual
 Coxeter number h_check = 1 + (rho|theta).
+
+Every per-family fact lives in FAMILY_TABLE, one FamilySpec row per catalog
+line; an AlgebraId finds its row once, on construction.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Callable, NamedTuple, Optional
 
 from . import rootdata
 from .report import Report
-from .scalars import (Matrix, Vector, rational, rational_str, solve_linear,
-                      vector)
+from .scalars import Matrix, Vector, rational, rational_str, solve_linear, vector
 
 __all__ = [
+    "FamilySpec",
+    "FAMILY_TABLE",
     "AlgebraId",
     "Weight",
     "Root",
@@ -37,7 +42,6 @@ __all__ = [
     "build_algebra",
     "pair",
     "coroot_pair",
-    "fundamental_weights",
     "selfcheck_algebra",
     "expected_h_check",
     "expected_chi",
@@ -61,76 +65,254 @@ class IsotropyError(ValueError):
     """A coroot pairing was requested against an isotropic root."""
 
 
+class Roots(NamedTuple):
+    """Distinguished roots of one family, as ambient coordinate tuples."""
+
+    simple: tuple        # (coords, parity) pairs, odd isotropic alpha_1 first
+    theta: tuple
+    theta_i: tuple       # highest roots of the simple summands of g-natural
+    gamma1: tuple        # odd pairs with theta - gamma_1 - gamma_2 = -theta_i
+    gamma2: tuple
+
+
+class FamilySpec(NamedTuple):
+    """One catalog line: every per-family fact the library uses.
+
+    Facts that depend on the family parameters are functions of (m, n).  The
+    closed forms h_check, chi and M_slope are typed in, never derived from
+    the root data, so the self-checks that compare them with the computed
+    values stay independent.
+    """
+
+    name: str              # catalog line, as in the README table
+    family: str            # AlgebraId.family of the line's instances
+    params: int            # integer parameters in the name: spo2-<m>, d21-<m>-<n>
+    check: Callable        # raises InvalidAlgebraError on bad parameters
+    dims: Callable[[int, int], tuple[int, int]]  # (num_e, num_d) coordinates
+    gram: Callable[[int, int], Matrix]           # invariant form, (theta|theta) = 2
+    roots: Callable[[int, int], Roots]
+    data: Callable[[int, int], tuple[str, Optional[int]]]  # root-data file, its bound m
+    # admissible levels -k = step * q for integers q >= q0: (step, q0)
+    progression: Callable[[int, int], tuple[Fraction, int]]
+    h_check: Callable[[int, int], Fraction]
+    chi: tuple[int, ...]
+    M_slope: Callable[[int, int], tuple[Fraction, ...]]  # M_i(k) = slope_i k + chi_i
+    # are extremal labels at the threshold A(k, nu) proven unitary at level k?
+    proven_at_threshold: Callable[[Fraction], bool]
+    m: Optional[int] = None          # the single parameter value of the line (spo2-3)
+    zhu: bool = False                # top-component (Zhu) consequences are recorded
+    fermionic_generator: bool = False  # the ideal generator has a fermionic mode
+
+
+def matrix_diag(entries) -> Matrix:
+    vals = vector(entries)
+    n = len(vals)
+    return tuple(tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+
+
+def _no_params(aid: "AlgebraId"):
+    if aid.m or aid.n:
+        raise InvalidAlgebraError(f"{aid.family} takes no parameters")
+
+
+def _spo2_params(aid: "AlgebraId"):
+    if aid.n:
+        raise InvalidAlgebraError("spo2 takes a single parameter m")
+    if not isinstance(aid.m, int) or aid.m < 3 or aid.m == 4:
+        raise InvalidAlgebraError(f"spo2-{aid.m}: m must be an integer >= 3 and != 4")
+
+
+def _d21_params(aid: "AlgebraId"):
+    if not (isinstance(aid.m, int) and isinstance(aid.n, int)
+            and aid.m >= 1 and aid.n >= 1):
+        raise InvalidAlgebraError("d21 needs positive integers m, n")
+    if gcd(aid.m, aid.n) != 1:
+        raise InvalidAlgebraError(f"d21-{aid.m}-{aid.n}: m and n must be coprime")
+
+
+def _spo2_roots(m: int) -> Roots:
+    """spo(2|m), m >= 5, in coordinates e_1..e_r, d_1 with r = m // 2."""
+    r = m // 2
+
+    def vec(*terms):  # (coordinate index, coefficient) pairs; index r is d1
+        row = [0] * (r + 1)
+        for idx, coeff in terms:
+            row[idx] += coeff
+        return tuple(row)
+
+    simple = [(vec((r, 1), (0, -1)), "odd")]                               # d1 - e1
+    simple += [(vec((i, 1), (i + 1, -1)), "even") for i in range(r - 1)]   # e_i - e_{i+1}
+    if m % 2:
+        simple.append((vec((r - 1, 1)), "even"))                           # e_r
+    else:
+        simple.append((vec((r - 2, 1), (r - 1, 1)), "even"))               # e_{r-1} + e_r
+    return Roots(simple=tuple(simple),
+                 theta=vec((r, 2)),                                         # 2 d1
+                 theta_i=(vec((0, 1), (1, 1)),),                            # e1 + e2
+                 gamma1=(vec((r, 1), (0, 1)),),                             # d1 + e1
+                 gamma2=(vec((r, 1), (1, 1)),))                             # d1 + e2
+
+
+FAMILY_TABLE: tuple[FamilySpec, ...] = (
+    FamilySpec(
+        name="psl2-2", family="psl2-2", params=0, check=_no_params,
+        dims=lambda m, n: (2, 2),
+        gram=lambda m, n: matrix_diag([1, 1, -1, -1]),
+        roots=lambda m, n: Roots(
+            simple=(((1, 0, -1, 0), "odd"),      # e1 - d1
+                    ((0, 0, 1, -1), "even"),     # d1 - d2
+                    ((0, -1, 0, 1), "odd")),     # d2 - e2
+            theta=(1, -1, 0, 0),
+            theta_i=((0, 0, 1, -1),),
+            gamma1=((1, 0, 0, -1),),             # e1 - d2
+            gamma2=((0, -1, 1, 0),)),            # d1 - e2
+        data=lambda m, n: ("psl2-2", None),
+        progression=lambda m, n: (Fraction(1), 2),
+        h_check=lambda m, n: Fraction(0),
+        chi=(-1,),
+        M_slope=lambda m, n: (Fraction(-1),),
+        proven_at_threshold=lambda k: True,
+        zhu=True),
+    FamilySpec(
+        name="spo2-3", family="spo2", params=1, check=_spo2_params, m=3,
+        dims=lambda m, n: (1, 1),
+        gram=lambda m, n: matrix_diag([-_HALF, _HALF]),
+        roots=lambda m, n: Roots(
+            simple=(((-1, 1), "odd"),            # d1 - e1
+                    ((1, 0), "even")),           # e1
+            theta=(0, 2),                        # 2 d1
+            theta_i=((1, 0),),                   # e1
+            gamma1=((1, 1),),                    # d1 + e1
+            gamma2=((0, 1),)),                   # d1
+        data=lambda m, n: ("spo2-odd", 1),
+        progression=lambda m, n: (Fraction(1, 4), 3),
+        h_check=lambda m, n: _HALF,
+        chi=(-2,),
+        M_slope=lambda m, n: (Fraction(-4),),
+        proven_at_threshold=lambda k: True,
+        zhu=True, fermionic_generator=True),
+    FamilySpec(
+        name="spo2-m", family="spo2", params=1, check=_spo2_params,
+        dims=lambda m, n: (m // 2, 1),
+        gram=lambda m, n: matrix_diag([-_HALF] * (m // 2) + [_HALF]),
+        roots=lambda m, n: _spo2_roots(m),
+        data=lambda m, n: ("spo2-odd" if m % 2 else "spo2-even", m // 2),
+        progression=lambda m, n: (_HALF, 2),
+        h_check=lambda m, n: 2 - Fraction(m, 2),
+        chi=(-1,),
+        M_slope=lambda m, n: (Fraction(-2),),
+        proven_at_threshold=lambda k: k == -1),
+    FamilySpec(
+        name="d21-m-n", family="d21", params=2, check=_d21_params,
+        dims=lambda m, n: (3, 0),
+        gram=lambda m, n: matrix_diag(
+            [_HALF, Fraction(-n, 2 * (m + n)), Fraction(-m, 2 * (m + n))]),
+        roots=lambda m, n: Roots(
+            simple=(((1, -1, -1), "odd"),
+                    ((0, 2, 0), "even"),
+                    ((0, 0, 2), "even")),
+            theta=(2, 0, 0),
+            theta_i=((0, 2, 0), (0, 0, 2)),
+            gamma1=((1, 1, -1), (1, 1, 1)),
+            gamma2=((1, 1, 1), (1, -1, 1))),
+        data=lambda m, n: ("d21", None),
+        progression=lambda m, n: (Fraction(m * n, m + n), 1),
+        h_check=lambda m, n: Fraction(0),
+        chi=(-1, -1),
+        M_slope=lambda m, n: (Fraction(-(m + n), n), Fraction(-(m + n), m)),
+        proven_at_threshold=lambda k: False),
+    FamilySpec(
+        name="f4", family="f4", params=0, check=_no_params,
+        dims=lambda m, n: (3, 1),
+        gram=lambda m, n: matrix_diag([Fraction(-2, 3)] * 3 + [2]),
+        roots=lambda m, n: Roots(
+            simple=(((-_HALF, -_HALF, -_HALF, _HALF), "odd"),   # (d1 - e1 - e2 - e3)/2
+                    ((0, 0, 1, 0), "even"),                     # e3
+                    ((0, 1, -1, 0), "even"),                    # e2 - e3
+                    ((1, -1, 0, 0), "even")),                   # e1 - e2
+            theta=(0, 0, 0, 1),
+            theta_i=((1, 1, 0, 0),),
+            gamma1=((_HALF, _HALF, -_HALF, _HALF),),
+            gamma2=((_HALF, _HALF, _HALF, _HALF),)),
+        data=lambda m, n: ("f4", None),
+        progression=lambda m, n: (Fraction(2, 3), 2),
+        h_check=lambda m, n: Fraction(-2),
+        chi=(-1,),
+        M_slope=lambda m, n: (Fraction(-3, 2),),
+        proven_at_threshold=lambda k: False),
+    FamilySpec(
+        # the third epsilon is rewritten as -e1 - e2 on input
+        name="g3", family="g3", params=0, check=_no_params,
+        dims=lambda m, n: (2, 1),
+        # (e_i|e_i) = -1/2, (e_1|e_2) = 1/4, (d|d) = 1/2
+        gram=lambda m, n: ((-_HALF, Fraction(1, 4), Fraction(0)),
+                           (Fraction(1, 4), -_HALF, Fraction(0)),
+                           (Fraction(0), Fraction(0), _HALF)),
+        roots=lambda m, n: Roots(
+            simple=(((-1, -1, 1), "odd"),        # d1 + e3
+                    ((1, 0, 0), "even"),         # e1
+                    ((-1, 1, 0), "even")),       # e2 - e1
+            theta=(0, 0, 2),
+            theta_i=((1, 2, 0),),                # e2 - e3
+            gamma1=((1, 1, 1),),                 # d1 - e3
+            gamma2=((0, 1, 1),)),                # d1 + e2
+        data=lambda m, n: ("g3", None),
+        progression=lambda m, n: (Fraction(3, 4), 2),
+        h_check=lambda m, n: Fraction(-3, 2),
+        chi=(-1,),
+        M_slope=lambda m, n: (Fraction(-4, 3),),
+        proven_at_threshold=lambda k: False),
+)
+
+_NAME_PATTERNS = tuple((re.compile(re.escape(spec.family) + r"-(\d+)" * spec.params), spec.family)
+                       for spec in FAMILY_TABLE)
+
+
 @dataclass(frozen=True)
 class AlgebraId:
     """One admissible family instance.
 
     family is one of ``psl2-2``, ``spo2`` (with m >= 3, m != 4), ``d21``
     (with coprime m, n >= 1, so the deformation parameter m/n avoids the
-    degenerate values 0 and -1), ``f4``, ``g3``.
+    degenerate values 0 and -1), ``f4``, ``g3``.  spec is its FAMILY_TABLE
+    row and dim its number of ambient coordinates.
     """
 
     family: str
     m: int = 0
     n: int = 0
+    spec: FamilySpec = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        if fam in ("psl2-2", "f4", "g3"):
-            if self.m or self.n:
-                raise InvalidAlgebraError(f"{fam} takes no parameters")
-        elif fam == "spo2":
-            if self.n:
-                raise InvalidAlgebraError("spo2 takes a single parameter m")
-            if not isinstance(self.m, int) or self.m < 3 or self.m == 4:
-                raise InvalidAlgebraError(
-                    f"spo2-{self.m}: m must be an integer >= 3 and != 4")
-        elif fam == "d21":
-            if not (isinstance(self.m, int) and isinstance(self.n, int)
-                    and self.m >= 1 and self.n >= 1):
-                raise InvalidAlgebraError("d21 needs positive integers m, n")
-            if gcd(self.m, self.n) != 1:
-                raise InvalidAlgebraError(
-                    f"d21-{self.m}-{self.n}: m and n must be coprime")
-        else:
-            raise InvalidAlgebraError(f"unknown algebra family {fam!r}")
+        spec = next((row for row in FAMILY_TABLE
+                     if row.family == self.family and row.m in (None, self.m)), None)
+        if spec is None:
+            raise InvalidAlgebraError(f"unknown algebra family {self.family!r}")
+        spec.check(self)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dim", sum(spec.dims(self.m, self.n)))
+
+    def __reduce__(self):
+        # the row holds functions, which do not pickle; rebuild from the fields
+        return AlgebraId, (self.family, self.m, self.n)
 
     @property
     def name(self) -> str:
-        if self.family == "spo2":
-            return f"spo2-{self.m}"
-        if self.family == "d21":
-            return f"d21-{self.m}-{self.n}"
-        return self.family
+        return "-".join([self.family, *map(str, (self.m, self.n)[:self.spec.params])])
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraId":
         """Parse a CLI-style name: psl2-2, spo2-<m>, d21-<m>-<n>, f4, g3."""
         text = text.strip().lower()
-        if text in ("psl2-2", "f4", "g3"):
-            return cls(text)
-        m = re.fullmatch(r"spo2-(\d+)", text)
-        if m:
-            return cls("spo2", int(m.group(1)))
-        m = re.fullmatch(r"d21-(\d+)-(\d+)", text)
-        if m:
-            return cls("d21", int(m.group(1)), int(m.group(2)))
+        for pattern, family in _NAME_PATTERNS:
+            match = pattern.fullmatch(text)
+            if match:
+                return cls(family, *map(int, match.groups()))
         raise InvalidAlgebraError(f"unknown algebra name {text!r}")
 
     def __str__(self) -> str:
         return self.name
-
-
-def ambient_dim(aid: AlgebraId) -> int:
-    if aid.family == "psl2-2":
-        return 4
-    if aid.family == "spo2":
-        return aid.m // 2 + 1
-    if aid.family == "d21":
-        return 3
-    if aid.family == "f4":
-        return 4
-    return 3  # g3
 
 
 @dataclass(frozen=True)
@@ -145,9 +327,9 @@ class Weight:
         if not (type(coords) is tuple and all(type(c) is Fraction for c in coords)):
             coords = vector(coords)
             object.__setattr__(self, "coords", coords)
-        if len(coords) != ambient_dim(self.algebra):
+        if len(coords) != self.algebra.dim:
             raise AlgebraMismatchError(
-                f"{self.algebra} weights have {ambient_dim(self.algebra)} "
+                f"{self.algebra} weights have {self.algebra.dim} "
                 f"coordinates, got {len(coords)}")
 
     def _check(self, other: "Weight"):
@@ -232,37 +414,9 @@ class AlgebraData:
 
 
 @lru_cache(maxsize=None)
-def _gram(aid: AlgebraId) -> Matrix:
-    fam = aid.family
-    if fam == "psl2-2":
-        return matrix_diag([1, 1, -1, -1])
-    if fam == "spo2":
-        r = aid.m // 2
-        return matrix_diag([-_HALF] * r + [_HALF])
-    if fam == "d21":
-        m, n = aid.m, aid.n
-        return matrix_diag([_HALF, Fraction(-n, 2 * (m + n)), Fraction(-m, 2 * (m + n))])
-    if fam == "f4":
-        return matrix_diag([Fraction(-2, 3)] * 3 + [2])
-    # g3: epsilon block has (e_i|e_i) = -1/2, (e_1|e_2) = 1/4, and (d|d) = 1/2
-    q = Fraction(1, 4)
-    return (
-        (-_HALF, q, Fraction(0)),
-        (q, -_HALF, Fraction(0)),
-        (Fraction(0), Fraction(0), _HALF),
-    )
-
-
-def matrix_diag(entries) -> Matrix:
-    vals = vector(entries)
-    n = len(vals)
-    return tuple(tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-
-
-@lru_cache(maxsize=None)
 def _gram_sparse(aid: AlgebraId) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     return tuple(tuple((j, v) for j, v in enumerate(row) if v != 0)
-                 for row in _gram(aid))
+                 for row in aid.spec.gram(aid.m, aid.n))
 
 
 def pair(a: Weight, b: Weight) -> Fraction:
@@ -291,103 +445,6 @@ def coroot_pair(w: Weight, alpha) -> Fraction:
     return 2 * pair(w, root) / norm
 
 
-def _w(aid: AlgebraId, entries) -> Weight:
-    return Weight(aid, entries)
-
-
-def _family_ingredients(aid: AlgebraId):
-    """Simple roots (ordered, alpha_1 first), theta, theta_i, gamma pairs,
-    coordinate names, and the root-data file key for one family."""
-    fam = aid.family
-    if fam == "psl2-2":
-        names = ("e1", "e2", "d1", "d2")
-        simple = (
-            ( (1, 0, -1, 0), "odd"),   # e1 - d1
-            ( (0, 0, 1, -1), "even"),  # d1 - d2
-            ( (0, -1, 0, 1), "odd"),   # d2 - e2
-        )
-        theta = (1, -1, 0, 0)
-        theta_i = ((0, 0, 1, -1),)
-        gamma1 = ((1, 0, 0, -1),)      # e1 - d2
-        gamma2 = ((0, -1, 1, 0),)      # d1 - e2
-        return names, simple, theta, theta_i, gamma1, gamma2, "psl2-2", None, 2, 2
-    if fam == "spo2":
-        r = aid.m // 2
-        odd_m = aid.m % 2 == 1
-        names = tuple(f"e{i}" for i in range(1, r + 1)) + ("d1",)
-        dim = r + 1
-        def unit(idx, val=1):
-            row = [Fraction(0)] * dim
-            row[idx] = Fraction(val)
-            return row
-        first = unit(r)               # d1
-        first[0] -= 1                 # d1 - e1
-        simple = [(tuple(first), "odd")]
-        for i in range(r - 1):
-            row = unit(i)
-            row[i + 1] -= 1           # e_i - e_{i+1}
-            simple.append((tuple(row), "even"))
-        if odd_m:
-            simple.append((tuple(unit(r - 1)), "even"))            # e_r
-        else:
-            row = unit(r - 2)
-            row[r - 1] += 1
-            simple.append((tuple(row), "even"))                    # e_{r-1} + e_r
-        theta = tuple(unit(r, 2))                                  # 2 d1
-        if aid.m == 3:
-            theta_i = (tuple(unit(0)),)                            # e1
-            g1 = unit(r); g1[0] += 1
-            gamma1 = (tuple(g1),)                                  # d1 + e1
-            gamma2 = (tuple(unit(r)),)                             # d1
-        else:
-            t = unit(0); t[1] += 1
-            theta_i = (tuple(t),)                                  # e1 + e2
-            g1 = unit(r); g1[0] += 1
-            g2 = unit(r); g2[1] += 1
-            gamma1 = (tuple(g1),)                                  # d1 + e1
-            gamma2 = (tuple(g2),)                                  # d1 + e2
-        key = "spo2-odd" if odd_m else "spo2-even"
-        return names, tuple(simple), theta, theta_i, gamma1, gamma2, key, r, r, 1
-    if fam == "d21":
-        names = ("e1", "e2", "e3")
-        simple = (
-            ((1, -1, -1), "odd"),
-            ((0, 2, 0), "even"),
-            ((0, 0, 2), "even"),
-        )
-        theta = (2, 0, 0)
-        theta_i = ((0, 2, 0), (0, 0, 2))
-        gamma1 = ((1, 1, -1), (1, 1, 1))
-        gamma2 = ((1, 1, 1), (1, -1, 1))
-        return names, simple, theta, theta_i, gamma1, gamma2, "d21", None, 3, 0
-    if fam == "f4":
-        names = ("e1", "e2", "e3", "d1")
-        h = _HALF
-        simple = (
-            ((-h, -h, -h, h), "odd"),   # (d1 - e1 - e2 - e3)/2
-            ((0, 0, 1, 0), "even"),     # e3
-            ((0, 1, -1, 0), "even"),    # e2 - e3
-            ((1, -1, 0, 0), "even"),    # e1 - e2
-        )
-        theta = (0, 0, 0, 1)
-        theta_i = ((1, 1, 0, 0),)
-        gamma1 = ((h, h, -h, h),)
-        gamma2 = ((h, h, h, h),)
-        return names, simple, theta, theta_i, gamma1, gamma2, "f4", None, 3, 1
-    # g3 (third epsilon rewritten as -e1-e2 on input)
-    names = ("e1", "e2", "d1")
-    simple = (
-        ((-1, -1, 1), "odd"),   # d1 + e3
-        ((1, 0, 0), "even"),    # e1
-        ((-1, 1, 0), "even"),   # e2 - e1
-    )
-    theta = (0, 0, 2)
-    theta_i = ((1, 2, 0),)      # e2 - e3
-    gamma1 = ((1, 1, 1),)       # d1 - e3
-    gamma2 = ((0, 1, 1),)       # d1 + e2
-    return names, simple, theta, theta_i, gamma1, gamma2, "g3", None, 2, 1
-
-
 def _solve_fundamental(natural_simple: tuple[Root, ...]) -> tuple[Weight, ...]:
     """Dual basis to the g-natural simple coroots, inside their span.
 
@@ -413,19 +470,23 @@ def _solve_fundamental(natural_simple: tuple[Root, ...]) -> tuple[Weight, ...]:
 @lru_cache(maxsize=None)
 def build_algebra(aid: AlgebraId) -> AlgebraData:
     """Construct the full static data of one family instance."""
-    (names, simple_raw, theta_raw, theta_i_raw, gamma1_raw, gamma2_raw,
-     data_key, m_param, num_e, num_d) = _family_ingredients(aid)
-    simple = tuple(Root(_w(aid, c), p) for c, p in simple_raw)
-    theta = _w(aid, theta_raw)
-    theta_i = tuple(_w(aid, c) for c in theta_i_raw)
-    gamma1 = tuple(_w(aid, c) for c in gamma1_raw)
-    gamma2 = tuple(_w(aid, c) for c in gamma2_raw)
+    spec, m, n = aid.spec, aid.m, aid.n
+    num_e, num_d = spec.dims(m, n)
+    names = (tuple(f"e{i}" for i in range(1, num_e + 1))
+             + tuple(f"d{i}" for i in range(1, num_d + 1)))
+    roots = spec.roots(m, n)
+    simple = tuple(Root(Weight(aid, c), p) for c, p in roots.simple)
+    theta = Weight(aid, roots.theta)
+    theta_i = tuple(Weight(aid, c) for c in roots.theta_i)
+    gamma1 = tuple(Weight(aid, c) for c in roots.gamma1)
+    gamma2 = tuple(Weight(aid, c) for c in roots.gamma2)
 
-    raw = rootdata.load_positive_roots(data_key, num_e=num_e, num_d=num_d, m=m_param)
-    positive = tuple(Root(_w(aid, coords), parity) for parity, coords in raw)
+    data_key, bound = spec.data(m, n)
+    raw = rootdata.load_positive_roots(data_key, num_e=num_e, num_d=num_d, m=bound)
+    positive = tuple(Root(Weight(aid, coords), parity) for parity, coords in raw)
 
-    even_sum = _w(aid, [0] * ambient_dim(aid))
-    odd_sum = _w(aid, [0] * ambient_dim(aid))
+    zero = Weight(aid, [0] * aid.dim)
+    even_sum = odd_sum = zero
     for root in positive:
         if root.is_odd:
             odd_sum = odd_sum + root.weight
@@ -435,7 +496,7 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
 
     natural_pos = [r for r in positive
                    if not r.is_odd and pair(r.weight, theta) == 0]
-    nat_sum = _w(aid, [0] * ambient_dim(aid))
+    nat_sum = zero
     for root in natural_pos:
         nat_sum = nat_sum + root.weight
     rho_nat = _HALF * nat_sum
@@ -455,7 +516,7 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
     return AlgebraData(
         id=aid,
         coord_names=names,
-        gram=_gram(aid),
+        gram=spec.gram(m, n),
         simple_roots=simple,
         positive_roots=positive,
         theta=theta,
@@ -472,32 +533,14 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
     )
 
 
-def fundamental_weights(alg: AlgebraData) -> tuple[Weight, ...]:
-    """The weights omega_a with omega_a(alpha_b-coroot) = delta_ab, all
-    orthogonal to theta (so they live in the dual of the g-natural Cartan)."""
-    return alg.natural_fundamental
-
-
 def expected_h_check(aid: AlgebraId) -> Fraction:
     """Catalog dual Coxeter number of the family (closed form)."""
-    if aid.family == "psl2-2":
-        return Fraction(0)
-    if aid.family == "spo2":
-        return 2 - Fraction(aid.m, 2)
-    if aid.family == "d21":
-        return Fraction(0)
-    if aid.family == "f4":
-        return Fraction(-2)
-    return Fraction(-3, 2)  # g3
+    return aid.spec.h_check(aid.m, aid.n)
 
 
 def expected_chi(aid: AlgebraId) -> tuple[Fraction, ...]:
     """Catalog chi values: -2 for spo2-3, otherwise -1 per summand."""
-    if aid.family == "spo2" and aid.m == 3:
-        return (Fraction(-2),)
-    if aid.family == "d21":
-        return (Fraction(-1), Fraction(-1))
-    return (Fraction(-1),)
+    return tuple(Fraction(c) for c in aid.spec.chi)
 
 
 def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
@@ -511,7 +554,7 @@ def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
     gram = tuple(tuple(pair(roots[a], roots[b]) for b in range(n)) for a in range(n))
     rhs = vector(pair(w, roots[a]) for a in range(n))
     coeffs = solve_linear(gram, rhs)
-    recombined = _w(alg.id, [0] * ambient_dim(alg.id))
+    recombined = Weight(alg.id, [0] * alg.id.dim)
     for c, r in zip(coeffs, roots):
         recombined = recombined + c * r
     if recombined != w:

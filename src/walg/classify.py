@@ -29,8 +29,8 @@ from itertools import product
 from typing import Optional
 
 from .affine import AffineWeight, affine_pair
-from .catalog import (AlgebraData, AlgebraId, Weight, ambient_dim,
-                      build_algebra, coroot_pair, pair)
+from .catalog import (AlgebraData, AlgebraId, Weight, build_algebra,
+                      coroot_pair, pair)
 from .report import Report
 from .scalars import rational, rational_str
 
@@ -101,25 +101,13 @@ def level(algebra: AlgebraData | AlgebraId | str, k) -> Level:
     return Level(algebra, rational(k))
 
 
-def _is_int_at_least(x: Fraction, bound: int) -> bool:
-    return x.denominator == 1 and x >= bound
-
-
 def in_unitarity_range(lvl: Level) -> bool:
-    """-k must lie in the family's admissible progression."""
+    """-k must lie in the family's admissible progression: -k = step * q
+    for an integer q >= q0."""
     aid = lvl.alg.id
-    k = lvl.k
-    if aid.family == "psl2-2":
-        return _is_int_at_least(-k, 2)
-    if aid.family == "spo2":
-        if aid.m == 3:
-            return _is_int_at_least(-4 * k, 3)
-        return _is_int_at_least(-2 * k, 2)
-    if aid.family == "d21":
-        return _is_int_at_least(-k * (aid.m + aid.n) / (aid.m * aid.n), 1)
-    if aid.family == "f4":
-        return _is_int_at_least(Fraction(-3, 2) * k, 2)
-    return _is_int_at_least(Fraction(-4, 3) * k, 2)  # g3
+    step, q0 = aid.spec.progression(aid.m, aid.n)
+    q = -lvl.k / step
+    return q.denominator == 1 and q >= q0
 
 
 @lru_cache(maxsize=None)
@@ -136,19 +124,8 @@ def level_M(lvl: Level) -> tuple[Fraction, ...]:
 def table_M(lvl: Level) -> tuple[Fraction, ...]:
     """The same levels by the per-family closed forms (cross-check)."""
     aid = lvl.alg.id
-    k = lvl.k
-    if aid.family == "psl2-2":
-        return (-(k + 1),)
-    if aid.family == "spo2":
-        if aid.m == 3:
-            return (-(4 * k + 2),)
-        return (-(2 * k + 1),)
-    if aid.family == "d21":
-        m, n = aid.m, aid.n
-        return (-(Fraction(m + n, n) * k + 1), -(Fraction(m + n, m) * k + 1))
-    if aid.family == "f4":
-        return (-(Fraction(3, 2) * k + 1),)
-    return (-(Fraction(4, 3) * k + 1),)  # g3
+    slopes = aid.spec.M_slope(aid.m, aid.n)
+    return tuple(s * lvl.k + c for s, c in zip(slopes, aid.spec.chi))
 
 
 @dataclass(frozen=True)
@@ -159,7 +136,10 @@ class DominantWeight:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = tuple(self.coeffs)
+        if any(type(c) is not int for c in coeffs):
+            raise TypeError(f"dominant weight coefficients must be ints, got {coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
         alg = build_algebra(self.algebra)
         if len(self.coeffs) != alg.rank_natural:
             raise RangeError(
@@ -179,7 +159,7 @@ class DominantWeight:
 @lru_cache(maxsize=None)
 def _ambient(aid: AlgebraId, coeffs: tuple[int, ...]) -> Weight:
     alg = build_algebra(aid)
-    w = Weight(aid, [0] * ambient_dim(aid))
+    w = Weight(aid, [0] * aid.dim)
     for c, omega in zip(coeffs, alg.natural_fundamental):
         if c:
             w = w + c * omega
@@ -249,16 +229,13 @@ def in_truncated_cone(lvl: Level, nu: DominantWeight) -> bool:
     return all(v <= m for v, m in zip(theta_values(lvl, nu), M))
 
 
-_in_Pk = in_truncated_cone
-
-
 def is_extremal(lvl: Level, nu: DominantWeight) -> bool:
     """nu(theta_i-coroot) > M_i(k) + chi_i for some summand i.
 
     Equivalent characterisation (kept as a cross-identity check): nu + xi is
     no longer in the truncated dominant cone.
     """
-    if not _in_Pk(lvl, nu):
+    if not in_truncated_cone(lvl, nu):
         raise RangeError("extremality is only defined inside the truncated cone")
     M = level_M(lvl)
     vals = theta_values(lvl, nu)
@@ -352,7 +329,7 @@ def affine_module_descends(lvl: Level, label: AffineModuleLabel) -> bool:
     quotient vertex algebra?  True iff nu is in the truncated cone and either
     non-extremal (h arbitrary) or extremal with h in the two-point set."""
     _require_range(lvl)
-    if not _in_Pk(lvl, label.nu):
+    if not in_truncated_cone(lvl, label.nu):
         return False
     if not is_extremal(lvl, label.nu):
         return True
@@ -363,7 +340,7 @@ def w_module_exists(lvl: Level, label: WModuleLabel) -> bool:
     """Complete-list membership for irreducible highest-weight W-modules;
     the identical predicate classifies irreducible positive-energy modules."""
     _require_range(lvl)
-    if not _in_Pk(lvl, label.nu):
+    if not in_truncated_cone(lvl, label.nu):
         return False
     if not is_extremal(lvl, label.nu):
         return True
@@ -374,8 +351,12 @@ def hamiltonian_reduce(lvl: Level, label: AffineModuleLabel) -> Optional[WModule
     """Image of the affine label under quantum Hamiltonian reduction.
 
     Vanishes exactly when k - 2h is a nonnegative integer; otherwise the
-    image is the W-label (nu, ell0(h)).
+    image is the W-label (nu, ell0(h)).  Defined only on the unitarity range
+    and for nu in the truncated cone.
     """
+    _require_range(lvl)
+    if not in_truncated_cone(lvl, label.nu):
+        raise RangeError("reduction is only defined inside the truncated cone")
     gap = lvl.k - 2 * label.h
     if gap.denominator == 1 and gap >= 0:
         return None
@@ -391,7 +372,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     M_i(k) + chi_i nonnegative integers, nu non-extremal, ell0 >= A(k, nu).
     The vacuum label (0, 0) is unitary on the whole range (that is what the
     range asserts), and extremal labels at the threshold are settled only for
-    psl2-2, spo2-3, and spo2-m at k = -1; the rest stay open.
+    psl2-2, spo2-3, and spo2-m at k = -1 (the row's proven_at_threshold);
+    the rest stay open.
     """
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
@@ -413,11 +395,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
                for m, c in zip(M, lvl.alg.chi)):
             return UNITARY
         return OPEN
-    aid = lvl.alg.id
-    proven = (aid.family == "psl2-2"
-              or (aid.family == "spo2" and aid.m == 3)
-              or (aid.family == "spo2" and lvl.k == -1))
-    return UNITARY if proven else OPEN
+    return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 
 @dataclass(frozen=True)
@@ -484,19 +462,8 @@ def affine_record_json(rec: AffineModuleRecord) -> dict:
 
 def standard_levels(aid: AlgebraId, count: int = 10) -> list[Fraction]:
     """The first `count` admissible levels of the family, nearest to 0 first."""
-    fam = aid.family
-    if fam == "psl2-2":
-        return [Fraction(-(q + 1)) for q in range(1, count + 1)]
-    if fam == "spo2":
-        if aid.m == 3:
-            return [Fraction(-(q + 2), 4) for q in range(1, count + 1)]
-        return [Fraction(-(q + 1), 2) for q in range(1, count + 1)]
-    if fam == "d21":
-        step = Fraction(aid.m * aid.n, aid.m + aid.n)
-        return [-q * step for q in range(1, count + 1)]
-    if fam == "f4":
-        return [Fraction(-2 * (q + 1), 3) for q in range(1, count + 1)]
-    return [Fraction(-3 * (q + 1), 4) for q in range(1, count + 1)]  # g3
+    step, q0 = aid.spec.progression(aid.m, aid.n)
+    return [-q * step for q in range(q0, q0 + count)]
 
 
 def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:

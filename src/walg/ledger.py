@@ -51,7 +51,7 @@ def check_singular_weights(lvl: Level) -> Report:
                 expected=(tuple(((M_closed[i] + 1) * theta_i).coords), M_closed[i] + 1),
                 computed=(tuple(built_weight.coords), built_energy))
 
-    if alg.id.family == "spo2" and alg.id.m == 3:
+    if alg.id.spec.fermionic_generator:
         m = M[0] + 2
         built = (M[0] - 1) * alg.theta_i[0] + alg.xi
         built_energy = (M[0] - 1) + Fraction(3, 2)
@@ -74,7 +74,7 @@ def check_affine_pairings(lvl: Level) -> Report:
     name = alg.id.name
     k = lvl.k
     M = level_M(lvl)
-    spo23 = alg.id.family == "spo2" and alg.id.m == 3
+    fermionic = alg.id.spec.fermionic_generator
 
     alpha1 = finite_part(alg.alpha1)
     theta = finite_part(alg.theta)
@@ -99,7 +99,7 @@ def check_affine_pairings(lvl: Level) -> Report:
                 computed=coroot_pair(alg.alpha1, theta_i))
 
         lam_triple = k_lambda0 - (M[i] + 1) * eta - delta + theta - alpha1
-        if not spo23:
+        if not fermionic:
             rep.add(f"affine.nonvanishing-linear[{i + 1}]", algebra=name, k=k,
                     formula="(Lambda'''_i|alpha_1) = -k + 1",
                     expected=-k + 1, computed=affine_pair(lam_triple, alpha1))
@@ -184,13 +184,13 @@ def check_zhu_consequences(lvl: Level) -> Report:
     """
     alg = lvl.alg
     aid = alg.id
-    if not (aid.family == "psl2-2" or (aid.family == "spo2" and aid.m == 3)):
+    if not aid.spec.zhu:
         raise ValueError("zhu consequences are recorded for spo2-3 and psl2-2 only")
     rep = Report()
     name = aid.name
     M = level_M(lvl)
 
-    if aid.family == "spo2":
+    if aid.spec.fermionic_generator:  # spo2-3: two pinned labels
         m = M[0] + 2
         pinned = [j for j in (m - 3, m - 2) if j >= 0]
         quarter = Fraction(1, 4)
@@ -225,7 +225,6 @@ def run_level_ledger(lvl: Level) -> Report:
     rep = Report()
     rep.extend(check_singular_weights(lvl))
     rep.extend(check_affine_pairings(lvl))
-    aid = lvl.alg.id
-    if aid.family == "psl2-2" or (aid.family == "spo2" and aid.m == 3):
+    if lvl.alg.id.spec.zhu:
         rep.extend(check_zhu_consequences(lvl))
     return rep

@@ -26,9 +26,6 @@ __all__ = [
     "rational",
     "rational_str",
     "vector",
-    "matrix",
-    "identity",
-    "mat_vec",
     "solve_linear",
 ]
 
@@ -76,23 +73,6 @@ def rational_str(value: RationalLike) -> str:
 
 def vector(entries: Iterable[RationalLike]) -> Vector:
     return tuple(rational(x) for x in entries)
-
-
-def matrix(rows: Iterable[Iterable[RationalLike]]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionError("ragged matrix")
-    return out
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def mat_vec(a: Matrix, x: Vector) -> Vector:
-    if any(len(row) != len(x) for row in a):
-        raise DimensionError("matrix/vector dimensions do not match")
-    return tuple(sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in a)
 
 
 def solve_linear(a: Matrix, b: Vector) -> Vector:

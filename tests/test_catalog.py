@@ -1,11 +1,15 @@
+import ast
+import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import walg
 from walg.catalog import (AlgebraId, AlgebraMismatchError, InvalidAlgebraError,
                           IsotropyError, Weight, build_algebra, coroot_pair,
-                          expected_chi, expected_h_check, fundamental_weights,
-                          pair, selfcheck_algebra)
+                          expected_chi, expected_h_check, pair,
+                          selfcheck_algebra)
 
 ALL_NAMES = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "spo2-7", "spo2-8",
              "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3"]
@@ -121,11 +125,11 @@ def test_coroot_pair_rejects_isotropic():
 
 
 def test_fundamental_weight_examples():
-    assert fundamental_weights(alg("spo2-3"))[0] == Weight(alg("spo2-3").id, [F(1, 2), 0])
+    assert alg("spo2-3").natural_fundamental[0] == Weight(alg("spo2-3").id, [F(1, 2), 0])
     b = alg("psl2-2")
-    assert fundamental_weights(b)[0] == Weight(b.id, [0, 0, F(1, 2), F(-1, 2)])
+    assert b.natural_fundamental[0] == Weight(b.id, [0, 0, F(1, 2), F(-1, 2)])
     c = alg("d21-3-2")
-    assert fundamental_weights(c) == (Weight(c.id, [0, 1, 0]), Weight(c.id, [0, 0, 1]))
+    assert c.natural_fundamental == (Weight(c.id, [0, 1, 0]), Weight(c.id, [0, 0, 1]))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -188,3 +192,52 @@ def test_build_is_cached_and_immutable():
     assert a1 is a2
     with pytest.raises(AttributeError):
         a1.h_check = F(0)  # frozen
+
+
+def test_algebra_ids_and_data_pickle():
+    a = alg("d21-3-2")
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(a.id)).spec is a.id.spec
+
+
+FAMILY_WORDS = ("family", "fam")
+
+
+def family_branches(tree):
+    """Line numbers of comparisons that branch on the family: a family name
+    or attribute compared with anything but another one, any comparison with
+    a family-name literal, and the spo2-3 special case m == 3."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        names = [getattr(o, "attr", getattr(o, "id", None)) for o in operands]
+        consts = [c.value for o in operands for c in ast.walk(o)
+                  if isinstance(c, ast.Constant)]
+        equality = all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        if (any(isinstance(v, str) and v.startswith(("psl2", "spo2", "d21", "f4", "g3"))
+                for v in consts)
+                or (any(n in FAMILY_WORDS for n in names)
+                    and not all(n in FAMILY_WORDS for n in names))
+                or (equality and "m" in names and 3 in consts)):
+            yield node.lineno
+
+
+def test_family_branches_are_detected():
+    code = """
+if aid.family == "d21": pass
+if fam in ("psl2-2", "f4"): pass
+if text in ("psl2-2", "f4"): pass
+if alg.id.family != other: pass
+if aid.m == 3: pass
+if aid.m < 3 or aid.m == 4 or row.family == aid.family: pass
+"""
+    assert list(family_branches(ast.parse(code))) == [2, 3, 4, 5, 6]
+
+
+def test_no_family_branches_outside_the_table():
+    # per-family facts live in catalog.FAMILY_TABLE; code reads them from a row
+    src = Path(walg.__file__).parent
+    hits = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+            for line in family_branches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert hits == []

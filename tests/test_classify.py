@@ -20,6 +20,12 @@ def nu_of(lvl, *coeffs):
     return DominantWeight(lvl.alg.id, tuple(coeffs))
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "1"])
+def test_dominant_weight_rejects_non_int_coefficients(bad):
+    with pytest.raises(TypeError):
+        DominantWeight(AlgebraId.parse("spo2-3"), (bad,))
+
+
 def test_critical_level_rejected():
     with pytest.raises(CriticalLevelError):
         level("spo2-3", F(-1, 2))

@@ -65,6 +65,14 @@ def test_reduce_command():
     assert data["result"] == {"nu_coeffs": [1], "ell0": "1/4"}
 
 
+def test_reduce_rejects_labels_off_range_or_outside_the_cone():
+    # M = 2 at k = -1, so nu = 9 lies outside the truncated cone
+    code, out = run_command(["reduce", "spo2-3", "--k", "-1", "--nu", "9", "--h", "1/3"])
+    assert code == 2 and "truncated cone" in out
+    code, out = run_command(["reduce", "psl2-2", "--k", "-3/2", "--nu", "0", "--h", "1/3"])
+    assert code == 2 and "unitarity range" in out
+
+
 def test_reflect_command():
     data = run_json(["reflect", "d21-3-2"])
     assert data["pass"] is True

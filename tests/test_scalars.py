@@ -3,9 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walg.scalars import (DimensionError, SingularMatrixError, identity,
-                          mat_vec, matrix, rational, rational_str,
-                          solve_linear, vector)
+from walg.scalars import (DimensionError, SingularMatrixError, rational,
+                          rational_str, solve_linear, vector)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -43,24 +42,24 @@ def test_division_by_zero_raises():
 
 def test_solve_identity_returns_rhs():
     b = vector([F(1, 3), -2, F(7, 5)])
-    assert solve_linear(identity(3), b) == b
+    assert solve_linear(((1, 0, 0), (0, 1, 0), (0, 0, 1)), b) == b
 
 
 def test_solve_one_by_one():
-    assert solve_linear(matrix([[2]]), vector([3])) == (F(3, 2),)
+    assert solve_linear(((2,),), vector([3])) == (F(3, 2),)
 
 
 def test_solve_d21_cone_system():
     # cone basis {(-a2, 0), (-a3, 0), ((a2+a3)/2, 1/2)} against
     # (mq a2, mq) - (nq a3, nq) at (m, n, q) = (2, 1, 1)
     h = F(1, 2)
-    a = matrix([[-1, 0, h], [0, -1, h], [0, 0, h]])
+    a = ((-1, 0, h), (0, -1, h), (0, 0, h))
     b = vector([2, -1, 1])
     assert solve_linear(a, b) == (F(-1), F(2), F(2))
 
 
 def test_solve_singular_reports_rank():
-    a = matrix([[1, 2], [2, 4]])
+    a = ((1, 2), (2, 4))
     with pytest.raises(SingularMatrixError) as err:
         solve_linear(a, vector([1, 1]))
     assert err.value.rank == 1
@@ -68,13 +67,9 @@ def test_solve_singular_reports_rank():
 
 def test_dimension_checks():
     with pytest.raises(DimensionError):
-        solve_linear(matrix([[1, 2]]), vector([1]))
+        solve_linear(((1, 2),), vector([1]))
     with pytest.raises(DimensionError):
-        solve_linear(identity(2), vector([1]))
-    with pytest.raises(DimensionError):
-        mat_vec(identity(2), vector([1, 2, 3]))
-    with pytest.raises(DimensionError):
-        matrix([[1, 2], [3]])
+        solve_linear(((1, 0), (0, 1)), vector([1]))
 
 
 @given(rationals, rationals, rationals)
@@ -93,10 +88,9 @@ def test_multiplicative_inverse(a):
     st.lists(rationals, min_size=n, max_size=n))))
 def test_solve_resubstitution(data):
     rows, rhs = data
-    a = matrix(rows)
     b = vector(rhs)
     try:
-        x = solve_linear(a, b)
+        x = solve_linear(rows, b)
     except SingularMatrixError:
         return
-    assert mat_vec(a, x) == b
+    assert tuple(sum(a * xi for a, xi in zip(row, x)) for row in rows) == b

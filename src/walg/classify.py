@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from typing import Optional
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .affine import AffineWeight, affine_pair
-from .catalog import (AlgebraData, AlgebraId, Weight, build_algebra,
-                      coroot_pair, pair)
+from .catalog import (AlgebraData, AlgebraId, AlgebraMismatchError, Weight,
+                      build_algebra, coroot_pair, pair)
 from .report import Report
 from .scalars import rational, rational_str
 
@@ -65,6 +65,7 @@ __all__ = [
     "affine_record_json",
     "standard_levels",
     "cross_identity_report",
+    "first_failure",
 ]
 
 
@@ -78,6 +79,12 @@ class RangeError(ValueError):
 
 @dataclass(frozen=True)
 class Level:
+    """One level k of one algebra.
+
+    The levels M_i(k) and the truncated cone are computed on first use and
+    kept on the instance, so they live exactly as long as it does.
+    """
+
     alg: AlgebraData
     k: Fraction
 
@@ -90,6 +97,41 @@ class Level:
     @property
     def name(self) -> str:
         return self.alg.id.name
+
+    @cached_property
+    def M(self) -> tuple[Fraction, ...]:
+        """Affine levels M_i(k) = 2k/(theta_i|theta_i) + chi_i."""
+        norms = _basis(self.alg.id).norms
+        return tuple(2 * self.k / n + c for n, c in zip(norms, self.alg.chi))
+
+    @cached_property
+    def cone(self) -> tuple[DominantWeight, ...]:
+        """The truncated cone P_k, in lexicographic coefficient order.
+
+        A depth-first walk over the coefficients: each summand keeps the
+        budget M_i - sum_{b<a} c_b C[i][b] that the coefficients chosen so
+        far leave, and c_a runs up to the least budget_i // C[i][a] over the
+        summands that bound it (0 when none does).  Only feasible prefixes
+        are visited.
+        """
+        _require_range(self)
+        aid = self.alg.id
+        comarks = _basis(aid).comarks
+        rank = len(comarks[0])
+        out = []
+
+        def walk(prefix: tuple[int, ...], budgets: tuple[int, ...]):
+            a = len(prefix)
+            if a == rank:
+                out.append(DominantWeight(aid, prefix))
+                return
+            cap = min((b // row[a] for b, row in zip(budgets, comarks) if row[a]),
+                      default=0)
+            for c in range(cap + 1):
+                walk(prefix + (c,), tuple(b - c * row[a] for b, row in zip(budgets, comarks)))
+
+        walk((), tuple(int(m) for m in self.M))
+        return tuple(out)
 
 
 def level(algebra: AlgebraData | AlgebraId | str, k) -> Level:
@@ -110,15 +152,9 @@ def in_unitarity_range(lvl: Level) -> bool:
     return q.denominator == 1 and q >= q0
 
 
-@lru_cache(maxsize=None)
-def _level_M(aid: AlgebraId, k: Fraction) -> tuple[Fraction, ...]:
-    alg = build_algebra(aid)
-    return tuple(2 * k / pair(t, t) + c for t, c in zip(alg.theta_i, alg.chi))
-
-
 def level_M(lvl: Level) -> tuple[Fraction, ...]:
     """Affine levels M_i(k) = 2k/(theta_i|theta_i) + chi_i."""
-    return _level_M(lvl.alg.id, lvl.k)
+    return lvl.M
 
 
 def table_M(lvl: Level) -> tuple[Fraction, ...]:
@@ -149,42 +185,73 @@ class DominantWeight:
             raise RangeError("dominant weight coefficients must be nonnegative")
 
     def weight(self) -> Weight:
-        return _ambient(self.algebra, self.coeffs)
+        """sum_a c_a omega_a in ambient coordinates, computed once per instance."""
+        return self._weight
+
+    @cached_property
+    def _weight(self) -> Weight:
+        aid = self.algebra
+        w = Weight(aid, [0] * aid.dim)
+        for c, omega in zip(self.coeffs, build_algebra(aid).natural_fundamental):
+            if c:
+                w = w + c * omega
+        return w
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
 
-@lru_cache(maxsize=None)
-def _ambient(aid: AlgebraId, coeffs: tuple[int, ...]) -> Weight:
-    alg = build_algebra(aid)
-    w = Weight(aid, [0] * aid.dim)
-    for c, omega in zip(coeffs, alg.natural_fundamental):
-        if c:
-            w = w + c * omega
-    return w
+class _Basis(NamedTuple):
+    """Integer data of one algebra over its natural fundamental weights omega_a.
+
+    D is the least common denominator of the pairings, so that
+    gram[a][b] = D (omega_a|omega_b), two_rho[a] = D (omega_a|2 rho_nat) and
+    xi[a] = D (xi|omega_a) are integers.
+    """
+
+    comarks: tuple[tuple[int, ...], ...]  # C[i][a] = omega_a(theta_i-coroot) >= 0
+    norms: tuple[Fraction, ...]           # (theta_i|theta_i)
+    D: int
+    gram: tuple[tuple[int, ...], ...]
+    two_rho: tuple[int, ...]
+    xi: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _comarks(aid: AlgebraId) -> tuple[tuple[int, ...], ...]:
-    """C[i][a] = omega_a(theta_i-coroot); nonnegative integers."""
+def _basis(aid: AlgebraId) -> _Basis:
     alg = build_algebra(aid)
-    rows = []
+    omegas = alg.natural_fundamental
+    comarks = []
     for t in alg.theta_i:
-        row = []
-        for omega in alg.natural_fundamental:
-            v = coroot_pair(omega, t)
-            if v.denominator != 1 or v < 0:
-                raise RangeError(f"non-integral comark {v} for {aid.name}")
-            row.append(int(v))
-        rows.append(tuple(row))
-    return tuple(rows)
+        row = tuple(coroot_pair(omega, t) for omega in omegas)
+        if any(v.denominator != 1 or v < 0 for v in row):
+            raise RangeError(f"non-integral comark in {row} for {aid.name}")
+        comarks.append(tuple(map(int, row)))
+    gram = [[pair(a, b) for b in omegas] for a in omegas]
+    two_rho = [pair(omega, 2 * alg.rho_nat) for omega in omegas]
+    xi = [pair(alg.xi, omega) for omega in omegas]
+    D = lcm(*(v.denominator for v in [*two_rho, *xi, *(g for row in gram for g in row)]))
+    return _Basis(
+        comarks=tuple(comarks),
+        norms=tuple(pair(t, t) for t in alg.theta_i),
+        D=D,
+        gram=tuple(tuple(int(D * g) for g in row) for row in gram),
+        two_rho=tuple(int(D * v) for v in two_rho),
+        xi=tuple(int(D * v) for v in xi))
+
+
+def _label_basis(lvl: Level, nu: DominantWeight) -> _Basis:
+    """The basis data of the level's algebra, once nu is known to belong to it."""
+    aid = lvl.alg.id
+    if nu.algebra != aid:
+        raise AlgebraMismatchError(f"a {nu.algebra} weight at a {aid} level")
+    return _basis(aid)
 
 
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     """nu(theta_i-coroot) per summand (integers for catalog weights)."""
-    comarks = _comarks(lvl.alg.id)
+    comarks = _label_basis(lvl, nu).comarks
     return tuple(Fraction(sum(c * k for c, k in zip(nu.coeffs, row)))
                  for row in comarks)
 
@@ -195,32 +262,10 @@ def _require_range(lvl: Level):
             f"k = {rational_str(lvl.k)} is outside the unitarity range of {lvl.name}")
 
 
-@lru_cache(maxsize=None)
-def _cone(aid: AlgebraId, k: Fraction) -> tuple[DominantWeight, ...]:
-    M = _level_M(aid, k)
-    comarks = _comarks(aid)
-    rank = build_algebra(aid).rank_natural
-    bounds = []
-    for a in range(rank):
-        cap = None
-        for i, row in enumerate(comarks):
-            if row[a] > 0:
-                c = int(M[i]) // row[a]
-                cap = c if cap is None else min(cap, c)
-        bounds.append(cap if cap is not None else 0)
-    out = []
-    for coeffs in product(*(range(b + 1) for b in bounds)):
-        if all(sum(c * w for c, w in zip(coeffs, row)) <= M[i]
-               for i, row in enumerate(comarks)):
-            out.append(DominantWeight(aid, coeffs))
-    return tuple(out)
-
-
 def enumerate_Pk(lvl: Level) -> tuple[DominantWeight, ...]:
     """All dominant integral nu with nu(theta_i-coroot) <= M_i(k), in
     lexicographic coefficient order."""
-    _require_range(lvl)
-    return _cone(lvl.alg.id, lvl.k)
+    return lvl.cone
 
 
 def in_truncated_cone(lvl: Level, nu: DominantWeight) -> bool:
@@ -242,19 +287,26 @@ def is_extremal(lvl: Level, nu: DominantWeight) -> bool:
     return any(v > m + c for v, m, c in zip(vals, M, lvl.alg.chi))
 
 
-@lru_cache(maxsize=None)
-def _A(aid: AlgebraId, k: Fraction, coeffs: tuple[int, ...]) -> Fraction:
-    alg = build_algebra(aid)
-    w = _ambient(aid, coeffs)
-    shifted = pair(w, w + 2 * alg.rho_nat)
-    xi_nu = pair(alg.xi, w)
-    denom = k + alg.h_check
-    return shifted / (2 * denom) + xi_nu * (xi_nu - k - 1) / denom
-
-
 def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
-    """Minimal conformal-weight threshold of the label nu."""
-    return _A(lvl.alg.id, lvl.k, nu.coeffs)
+    """Minimal conformal-weight threshold of the label nu:
+
+        A(k, nu) = (nu|nu + 2 rho_nat) / (2 (k + h_check))
+                   + (xi|nu) ((xi|nu) - k - 1) / (k + h_check).
+
+    With the integers Q = D (nu|nu + 2 rho_nat) and X = D (xi|nu) from the
+    basis data, k = p/q and h_check = a/b, this is
+    (q (Q D + 2 X^2) - 2 X D (p + q)) b / (2 D^2 (p b + a q)).
+    """
+    basis = _label_basis(lvl, nu)
+    c = nu.coeffs
+    Q = sum(ca * (r + sum(g * cb for g, cb in zip(row, c)))
+            for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
+    X = sum(x * ca for x, ca in zip(basis.xi, c))
+    D = basis.D
+    p, q = lvl.k.numerator, lvl.k.denominator
+    a, b = lvl.alg.h_check.numerator, lvl.alg.h_check.denominator
+    return Fraction((q * (Q * D + 2 * X * X) - 2 * X * D * (p + q)) * b,
+                    2 * D * D * (p * b + a * q))
 
 
 @lru_cache(maxsize=None)
@@ -477,6 +529,16 @@ def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
     return all(coroot_pair(w, t) <= m for t, m in zip(alg.theta_i, M))
 
 
+def first_failure(failures: Iterable[tuple[DominantWeight, Optional[Fraction]]]) -> bool | str:
+    """The `computed` value of a check over a grid of labels: True when
+    `failures` yields no (nu, h), else where the first one failed, as
+    "nu=(1,0,2)" or, with an h, "nu=(1,0,2) h=1/3"."""
+    for nu, h in failures:
+        site = "nu=(" + ",".join(map(str, nu.coeffs)) + ")"
+        return site if h is None else f"{site} h={rational_str(h)}"
+    return True
+
+
 def cross_identity_report(lvl: Level) -> Report:
     """Exact cross-identities tying the classification machinery together.
 
@@ -505,63 +567,66 @@ def cross_identity_report(lvl: Level) -> Report:
     cone = enumerate_Pk(lvl)
     extremal = {nu: is_extremal(lvl, nu) for nu in cone}
 
-    dual_ok = all(extremal[nu] == (not _nu_plus_xi_in_Pk(lvl, nu)) for nu in cone)
     rep.add("classify.extremal-dual", algebra=name, k=k,
             formula="extremality by the chi margin agrees with nu + xi leaving the cone",
-            expected=True, computed=dual_ok)
+            expected=True,
+            computed=first_failure((nu, None) for nu in cone
+                                   if extremal[nu] == _nu_plus_xi_in_Pk(lvl, nu)))
 
     h_samples = (Fraction(0), Fraction(1), Fraction(-1, 2), k, k + 1)
-    sym_ok = all(ell0(lvl, nu, h) == ell0(lvl, nu, k + 1 - h)
-                 for nu in cone for h in h_samples)
     rep.add("classify.ell0-symmetry", algebra=name, k=k,
             formula="ell0(h) = ell0(k + 1 - h)",
-            expected=True, computed=sym_ok)
+            expected=True,
+            computed=first_failure((nu, h) for nu in cone for h in h_samples
+                                   if ell0(lvl, nu, h) != ell0(lvl, nu, k + 1 - h)))
 
     # ell0(h) - A is a quadratic in h with leading coefficient 1/(k + h_check)
     # and root set {(xi|nu), k+1-(xi|nu)}; matching the constant coefficient
-    # proves the equivalence "ell0(h) = A  iff  h in extremal_h_set".
-    const_ok = True
-    at_e_ok = True
-    for nu in cone:
-        w = nu.weight()
-        xi_nu = pair(alg.xi, w)
-        threshold = A_value(lvl, nu)
-        lhs = pair(w, w + 2 * alg.rho) / 2 - threshold * (k + alg.h_check)
-        const_ok = const_ok and lhs == xi_nu * (k + 1 - xi_nu)
-        at_e_ok = at_e_ok and all(ell0(lvl, nu, h) == threshold
-                                  for h in extremal_h_set(lvl, nu))
+    # proves the equivalence "ell0(h) = A  iff  h in extremal_h_set".  The
+    # constant coefficient is computed from the ambient pairing, so this
+    # check is the oracle of the basis form of A.
+    def threshold_failures():
+        for nu in cone:
+            w = nu.weight()
+            xi_nu = pair(alg.xi, w)
+            threshold = A_value(lvl, nu)
+            lhs = pair(w, w + 2 * alg.rho) / 2 - threshold * (k + alg.h_check)
+            if lhs != xi_nu * (k + 1 - xi_nu):
+                yield nu, None
+            for h in extremal_h_set(lvl, nu):
+                if ell0(lvl, nu, h) != threshold:
+                    yield nu, h
+
     rep.add("classify.threshold-roots", algebra=name, k=k,
             formula="ell0(h) = A(k, nu) exactly for h in {(xi|nu), k+1-(xi|nu)}",
-            expected=True, computed=const_ok and at_e_ok)
+            expected=True, computed=first_failure(threshold_failures()))
 
-    reduce_ok = True
-    for nu in cone:
-        if extremal[nu]:
-            hs = sorted(extremal_h_set(lvl, nu))
-        else:
-            hs = sorted({Fraction(0), Fraction(-1, 2), k + 1,
-                         pair(alg.xi, nu.weight())})
-        for h in hs:
-            label = AffineModuleLabel(nu, h)
-            if not affine_module_descends(lvl, label):
-                continue
-            reduced = hamiltonian_reduce(lvl, label)
-            if reduced is not None and not w_module_exists(lvl, reduced):
-                reduce_ok = False
+    def reduce_failures():
+        for nu in cone:
+            if extremal[nu]:
+                hs = sorted(extremal_h_set(lvl, nu))
+            else:
+                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1,
+                             pair(alg.xi, nu.weight())})
+            for h in hs:
+                label = AffineModuleLabel(nu, h)
+                if not affine_module_descends(lvl, label):
+                    continue
+                reduced = hamiltonian_reduce(lvl, label)
+                if reduced is not None and not w_module_exists(lvl, reduced):
+                    yield nu, h
+
     rep.add("classify.reduce-descends", algebra=name, k=k,
             formula="reduction of an admissible affine label vanishes or is an admissible W-label",
-            expected=True, computed=reduce_ok)
+            expected=True, computed=first_failure(reduce_failures()))
 
-    mi_ok = True
-    for nu in cone:
-        if extremal[nu]:
-            continue
-        for v, m, c in zip(theta_values(lvl, nu), M, alg.chi):
-            mi = m + c - v
-            mi_ok = mi_ok and mi.denominator == 1 and mi >= 0
     rep.add("classify.margin-nonneg", algebra=name, k=k,
             formula="M_i(k) + chi_i - nu(theta_i-coroot) is a nonnegative integer off the extremal set",
-            expected=True, computed=mi_ok)
+            expected=True,
+            computed=first_failure(
+                (nu, None) for nu in cone if not extremal[nu]
+                and not all((m + c - v).denominator == 1 and m + c - v >= 0
+                            for v, m, c in zip(theta_values(lvl, nu), M, alg.chi))))
 
     vacuum = WModuleLabel(DominantWeight(alg.id, (0,) * alg.rank_natural), Fraction(0))
     rep.add("classify.vacuum-exists", algebra=name, k=k,

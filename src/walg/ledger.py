@@ -14,7 +14,8 @@ from math import gcd
 from .affine import AffineWeight, affine_coroot_pair, affine_pair, finite_part
 from .catalog import coroot_pair
 from .classify import (A_value, DominantWeight, Level, classify_w_modules,
-                       enumerate_Pk, level_M, table_M, theta_values)
+                       enumerate_Pk, first_failure, level_M, table_M,
+                       theta_values)
 from .report import Report
 from .scalars import rational_str, solve_linear, vector
 
@@ -119,21 +120,22 @@ def check_affine_pairings(lvl: Level) -> Report:
     # constants per summand; the nu_hat pairing is the only per-weight part
     shifts = [(affine_pair(alpha1, eta), affine_pair(alpha0, eta),
                affine_pair(eta, eta)) for eta in etas]
-    step_ok = True
-    for nu in enumerate_Pk(lvl):
-        vals = theta_values(lvl, nu)
-        for h in _h_samples(lvl):
-            nu_hat = AffineWeight(h * alg.theta + nu.weight(), k, 0)
-            for i, eta in enumerate(etas):
-                c1, c0, norm = shifts[i]
-                base = affine_pair(nu_hat, eta)
-                want = M[i] - vals[i]
-                got1 = 2 * (base - c1 - c0) / norm
-                got2 = 2 * (base - c1) / norm
-                step_ok = step_ok and got1 == want and got2 == want
+
+    def step_failures():
+        for nu in enumerate_Pk(lvl):
+            vals = theta_values(lvl, nu)
+            for h in _h_samples(lvl):
+                nu_hat = AffineWeight(h * alg.theta + nu.weight(), k, 0)
+                for i, eta in enumerate(etas):
+                    c1, c0, norm = shifts[i]
+                    base = affine_pair(nu_hat, eta)
+                    want = M[i] - vals[i]
+                    if 2 * (base - c1 - c0) / norm != want or 2 * (base - c1) / norm != want:
+                        yield nu, h
+
     rep.add("affine.integrability-step", algebra=name, k=k,
             formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",
-            expected=True, computed=step_ok)
+            expected=True, computed=first_failure(step_failures()))
 
     return rep
 

@@ -2,16 +2,19 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from walg.catalog import AlgebraId, coroot_pair
+from walg import catalog, classify
+from walg.catalog import AlgebraId, AlgebraMismatchError, coroot_pair, pair
 from walg.classify import (AffineModuleLabel, CriticalLevelError,
                            DominantWeight, RangeError, WModuleLabel,
                            A_value, affine_module_descends,
                            classify_w_modules, cross_identity_report, ell0,
                            enumerate_Pk, extremal_h_set, hamiltonian_reduce,
-                           in_unitarity_range, is_extremal, level, level_M,
-                           standard_levels, table_M, unitarity_verdict,
-                           w_module_exists)
+                           in_truncated_cone, in_unitarity_range, is_extremal,
+                           level, level_M, standard_levels, table_M,
+                           theta_values, unitarity_verdict, w_module_exists)
+from walg.cli import SELFCHECK_ALGEBRAS
 
 FAMILY_REPS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "d21-3-2", "f4", "g3"]
 
@@ -290,3 +293,121 @@ def test_cross_identity_report_green():
         for k in standard_levels(aid, 3):
             rep = cross_identity_report(level(name, k))
             assert rep.all_pass, [e.line() for e in rep.failures()]
+
+
+# --- oracles of the integer basis path ------------------------------------
+
+# the deep levels of the modules benchmark
+DEEP_LEVELS = [("f4", F(-82, 3)), ("spo2-16", F(-7, 2)),
+               ("spo2-8", F(-13, 2)), ("d21-5-3", F(-75, 8))]
+
+
+def box_filter_cone(lvl):
+    """Cone oracle: every point of the bounding box of the coefficients,
+    kept when each nu(theta_i-coroot) <= M_i.  The comarks are ambient
+    coroot pairings and the levels the closed forms."""
+    alg = lvl.alg
+    M = [int(m) for m in table_M(lvl)]
+    comarks = [[int(coroot_pair(omega, t)) for omega in alg.natural_fundamental]
+               for t in alg.theta_i]
+    bounds = []
+    for a in range(alg.rank_natural):
+        caps = [m // row[a] for m, row in zip(M, comarks) if row[a] > 0]
+        bounds.append(min(caps) if caps else 0)
+    return [coeffs for coeffs in product(*(range(b + 1) for b in bounds))
+            if all(sum(c * w for c, w in zip(coeffs, row)) <= m
+                   for m, row in zip(M, comarks))]
+
+
+def ambient_A(lvl, nu):
+    """Threshold oracle: A(k, nu) from ambient pairings with rho_nat and xi."""
+    alg = lvl.alg
+    w = nu.weight()
+    xi_nu = pair(alg.xi, w)
+    denom = lvl.k + alg.h_check
+    return pair(w, w + 2 * alg.rho_nat) / (2 * denom) + xi_nu * (xi_nu - lvl.k - 1) / denom
+
+
+@pytest.mark.parametrize("name,k", DEEP_LEVELS)
+def test_cone_walk_matches_box_filter_at_deep_levels(name, k):
+    lvl = level(name, k)
+    assert [nu.coeffs for nu in enumerate_Pk(lvl)] == box_filter_cone(lvl)
+
+
+@pytest.mark.parametrize("name", SELFCHECK_ALGEBRAS)
+def test_A_value_matches_ambient_form(name):
+    for k in standard_levels(AlgebraId.parse(name), 3):
+        lvl = level(name, k)
+        for nu in enumerate_Pk(lvl):
+            assert A_value(lvl, nu) == ambient_A(lvl, nu), (name, k, nu.coeffs)
+
+
+PROPERTY_ALGEBRAS = SELFCHECK_ALGEBRAS + ("spo2-9", "spo2-16", "d21-1-1", "d21-7-4")
+
+
+@st.composite
+def labels(draw):
+    """A family instance, an admissible level -k = step * q and a small
+    dominant weight, inside or outside the truncated cone."""
+    aid = AlgebraId.parse(draw(st.sampled_from(PROPERTY_ALGEBRAS)))
+    step, q0 = aid.spec.progression(aid.m, aid.n)
+    lvl = level(aid, -step * draw(st.integers(q0, q0 + 40)))
+    coeffs = draw(st.lists(st.integers(0, 6), min_size=lvl.alg.rank_natural,
+                           max_size=lvl.alg.rank_natural))
+    return lvl, DominantWeight(aid, tuple(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels())
+def test_basis_path_matches_ambient_oracle(label):
+    lvl, nu = label
+    alg = lvl.alg
+    w = nu.weight()
+    assert A_value(lvl, nu) == ambient_A(lvl, nu)
+    assert theta_values(lvl, nu) == tuple(coroot_pair(w, t) for t in alg.theta_i)
+    inside = all(coroot_pair(w, t) <= m for t, m in zip(alg.theta_i, table_M(lvl)))
+    assert in_truncated_cone(lvl, nu) is inside
+    if inside:
+        shifted = w + alg.xi
+        dual_inside = all(coroot_pair(shifted, s).denominator == 1
+                          and coroot_pair(shifted, s) >= 0 for s in alg.natural_simple
+                          ) and all(coroot_pair(shifted, t) <= m
+                                    for t, m in zip(alg.theta_i, table_M(lvl)))
+        assert is_extremal(lvl, nu) is (not dual_inside)
+
+
+def test_labels_of_another_algebra_are_rejected():
+    lvl = level("f4", -2)
+    for nu in (DominantWeight(AlgebraId.parse("spo2-7"), (1, 0, 0)),
+               DominantWeight(AlgebraId.parse("spo2-5"), (1, 0))):
+        for query in (theta_values, in_truncated_cone, is_extremal, A_value):
+            with pytest.raises(AlgebraMismatchError):
+                query(lvl, nu)
+        with pytest.raises(AlgebraMismatchError):
+            unitarity_verdict(lvl, WModuleLabel(nu, F(1, 2)))
+
+
+def test_failing_grid_checks_name_the_weight(monkeypatch):
+    lvl = level("spo2-3", F(-1))
+    assert cross_identity_report(lvl).all_pass
+    true_A = classify.A_value
+    monkeypatch.setattr(classify, "A_value", lambda lvl, nu: true_A(lvl, nu) + 1)
+    by_id = {e.check_id: e for e in cross_identity_report(lvl).entries}
+    entry = by_id["classify.threshold-roots"]
+    assert not entry.passed and entry.computed == "nu=(0)"
+    entry = by_id["classify.reduce-descends"]
+    assert not entry.passed and entry.computed == "nu=(1) h=-1/4"
+    assert by_id["classify.ell0-symmetry"].computed == "true"
+
+
+def test_no_cache_grows_with_levels():
+    caches = {id(f): f for module in (classify, catalog)
+              for f in vars(module).values() if hasattr(f, "cache_info")}
+    assert len(caches) >= 3
+    for cache in caches.values():
+        cache.cache_clear()
+    aid = AlgebraId.parse("spo2-5")
+    for k in standard_levels(aid, 20):
+        classify_w_modules(level(aid, k))
+    for cache in caches.values():
+        assert cache.cache_info().currsize <= 1, cache.__name__

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from walg import ledger
 from walg.catalog import AlgebraId
 from walg.classify import level, standard_levels
 from walg.ledger import (check_affine_pairings, check_d21_cone,
@@ -126,3 +127,11 @@ def test_full_grid_green():
         for k in standard_levels(aid, 10):
             rep = run_level_ledger(level(name, k))
             assert rep.all_pass, (name, k, [e.line() for e in rep.failures()])
+
+
+def test_failing_integrability_step_names_the_weight(monkeypatch):
+    true_values = ledger.theta_values
+    monkeypatch.setattr(ledger, "theta_values",
+                        lambda lvl, nu: tuple(v + nu.coeffs[0] for v in true_values(lvl, nu)))
+    e = entry(check_affine_pairings(level("spo2-3", F(-1))), "affine.integrability-step")
+    assert not e.passed and e.computed == "nu=(1) h=0"

@@ -81,8 +81,9 @@ class RangeError(ValueError):
 class Level:
     """One level k of one algebra.
 
-    The levels M_i(k) and the truncated cone are computed on first use and
-    kept on the instance, so they live exactly as long as it does.
+    The range membership, the levels M_i(k) and the truncated cone are
+    computed on first use and kept on the instance, so they live exactly as
+    long as it does.
     """
 
     alg: AlgebraData
@@ -97,6 +98,15 @@ class Level:
     @property
     def name(self) -> str:
         return self.alg.id.name
+
+    @cached_property
+    def in_range(self) -> bool:
+        """-k lies in the family's admissible progression: -k = step * q
+        for an integer q >= q0."""
+        aid = self.alg.id
+        step, q0 = aid.spec.progression(aid.m, aid.n)
+        q = -self.k / step
+        return q.denominator == 1 and q >= q0
 
     @cached_property
     def M(self) -> tuple[Fraction, ...]:
@@ -144,12 +154,8 @@ def level(algebra: AlgebraData | AlgebraId | str, k) -> Level:
 
 
 def in_unitarity_range(lvl: Level) -> bool:
-    """-k must lie in the family's admissible progression: -k = step * q
-    for an integer q >= q0."""
-    aid = lvl.alg.id
-    step, q0 = aid.spec.progression(aid.m, aid.n)
-    q = -lvl.k / step
-    return q.denominator == 1 and q >= q0
+    """Is k in the unitarity range?  See Level.in_range."""
+    return lvl.in_range
 
 
 def level_M(lvl: Level) -> tuple[Fraction, ...]:
@@ -257,7 +263,7 @@ def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
 
 
 def _require_range(lvl: Level):
-    if not in_unitarity_range(lvl):
+    if not lvl.in_range:
         raise RangeError(
             f"k = {rational_str(lvl.k)} is outside the unitarity range of {lvl.name}")
 
@@ -280,10 +286,10 @@ def is_extremal(lvl: Level, nu: DominantWeight) -> bool:
     Equivalent characterisation (kept as a cross-identity check): nu + xi is
     no longer in the truncated dominant cone.
     """
-    if not in_truncated_cone(lvl, nu):
-        raise RangeError("extremality is only defined inside the truncated cone")
-    M = level_M(lvl)
     vals = theta_values(lvl, nu)
+    M = level_M(lvl)
+    if any(v > m for v, m in zip(vals, M)):
+        raise RangeError("extremality is only defined inside the truncated cone")
     return any(v > m + c for v, m, c in zip(vals, M, lvl.alg.chi))
 
 

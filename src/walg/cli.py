@@ -8,6 +8,7 @@ error.  All rationals are written ``p/q``; decimals are never parsed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,9 +39,17 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        # -h/--help calls this and then exit(); hand the text back instead
+        raise _HelpRequested(self.format_help())
 
 
 def _join_rational_values(argv: list[str]) -> list[str]:
@@ -58,7 +67,10 @@ def _join_rational_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser tree, built on the first call and shared by every later
+    one; argparse keeps no state of its own between parses."""
     parser = _Parser(prog="walg", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -284,13 +296,18 @@ _COMMANDS = {
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
-    """Execute one CLI invocation; returns (exit_code, stdout_text)."""
+    """Execute one CLI invocation; returns (exit_code, stdout_text).
+
+    Never exits: usage errors return code 2 and --help returns code 0, each
+    with its text."""
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_rational_values(list(argv)))
         if args.command is None:
             raise _UsageError(parser.format_usage())
         return _COMMANDS[args.command](args)
+    except _HelpRequested as exc:
+        return 0, str(exc)
     except _UsageError as exc:
         return 2, str(exc)
     except (ValueError, ZeroDivisionError) as exc:

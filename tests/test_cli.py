@@ -3,7 +3,10 @@ import os
 import subprocess
 import sys
 
-from walg.cli import run_command
+import pytest
+
+from walg import cli
+from walg.cli import main, run_command
 
 
 def run_json(argv):
@@ -101,6 +104,80 @@ def test_exit_code_2_on_usage_errors():
     assert run_command(["unitary", "spo2-3", "--k", "-1", "--nu", "x", "--ell0", "0"])[0] == 2
     assert run_command(["modules", "psl2-2", "--k", "-3/2"])[0] == 2  # off range
     assert run_command(["range", "psl2-2", "--k", "0.5"])[0] == 2     # no decimals
+
+
+def test_help_is_returned_not_printed(capsys):
+    for argv in (["--help"], ["unitary", "--help"], ["modules", "-h"]):
+        code, text = run_command(argv)
+        assert code == 0
+        assert text.startswith("usage: walg")
+    assert capsys.readouterr().out == ""
+
+
+def test_main_prints_help_and_exits_0(capsys):
+    _, text = run_command(["--help"])
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+# One argv sequence for the shared parser: flags set by one call must not
+# leak into the next, and usage errors must read the same.
+REUSE_SEQUENCE = (
+    ["modules", "spo2-3", "--k", "-1", "--affine", "--json", "--ledger"],
+    ["modules", "spo2-3", "--k", "-1", "--json"],
+    ["unitary", "spo2-3", "--k", "-1", "--nu", "1", "--ell0", "1/4"],
+    ["modules", "spo2-3", "--k", "-1", "--affine", "--w"],
+    ["reduce", "spo2-3", "--k", "-1", "--nu", "1", "--h", "-1/4"],
+    ["modules", "spo2-3"],
+    ["unitary", "spo2-3", "--k=-1", "--nu", "2", "--ell0", "0"],
+    ["range", "spo2-3", "--k=-1"],
+    ["reduce", "spo2-3", "--k=-1", "--nu", "0", "--h=-1/2"],
+    ["unitary", "--help"],
+    ["modules", "spo2-3", "--k", "-1"],
+)
+
+
+def test_shared_parser_answers_as_a_fresh_one():
+    cli._build_parser.cache_clear()
+    shared = [run_command(argv) for argv in REUSE_SEQUENCE]
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append(run_command(argv))
+    assert shared == fresh
+    after_affine = json.loads(shared[1][1])
+    assert after_affine["kind"] == "w" and "ledger" not in after_affine
+    assert shared[3][0] == 2 and "not allowed with argument" in shared[3][1]
+    assert shared[5][0] == 2 and "--k" in shared[5][1]
+    assert [code for code, _ in shared[6:]] == [0] * 5
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for _ in range(50):
+        assert run_command(["range", "spo2-3", "--k", "-3/4"])[0] == 0
+    # one tree: the root parser and one parser per subcommand
+    assert built.count("walg") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import walg.cli; print(walg.cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_negative_fraction_flag_values_parse():

@@ -170,6 +170,15 @@ def table_M(lvl: Level) -> tuple[Fraction, ...]:
     return tuple(s * lvl.k + c for s, c in zip(slopes, aid.spec.chi))
 
 
+class _Pairings(NamedTuple):
+    """Ambient pairings of one dominant weight w, for the oracle."""
+
+    norm: Fraction                 # (w|w + 2 rho)
+    theta: Fraction                # (theta|w)
+    xi: Fraction                   # (xi|w)
+    theta_i: tuple[Fraction, ...]  # (w|theta_i)
+
+
 @dataclass(frozen=True)
 class DominantWeight:
     """Nonnegative integer coefficients over the natural fundamental weights."""
@@ -197,11 +206,26 @@ class DominantWeight:
     @cached_property
     def _weight(self) -> Weight:
         aid = self.algebra
-        w = Weight(aid, [0] * aid.dim)
+        coords = [Fraction(0)] * aid.dim
         for c, omega in zip(self.coeffs, build_algebra(aid).natural_fundamental):
             if c:
-                w = w + c * omega
-        return w
+                for j, v in enumerate(omega.coords):
+                    if v:
+                        coords[j] += c * v
+        return Weight(aid, tuple(coords))
+
+    @cached_property
+    def pairings(self) -> _Pairings:
+        """The ambient pairings of w = weight() that the oracle needs, computed
+        once per instance; none depends on the level."""
+        aid = self.algebra
+        alg = build_algebra(aid)
+        w = self._weight
+        w_hat = AffineWeight(w)
+        return _Pairings(norm=affine_pair(w_hat, w_hat + _two_rho_hat(aid)),
+                         theta=pair(alg.theta, w),
+                         xi=pair(alg.xi, w),
+                         theta_i=tuple(pair(w, t) for t in alg.theta_i))
 
     @property
     def is_zero(self) -> bool:
@@ -247,17 +271,17 @@ def _basis(aid: AlgebraId) -> _Basis:
         xi=tuple(int(D * v) for v in xi))
 
 
-def _label_basis(lvl: Level, nu: DominantWeight) -> _Basis:
-    """The basis data of the level's algebra, once nu is known to belong to it."""
+def _label_algebra(lvl: Level, nu: DominantWeight) -> AlgebraId:
+    """The level's algebra, once nu is known to belong to it."""
     aid = lvl.alg.id
     if nu.algebra != aid:
         raise AlgebraMismatchError(f"a {nu.algebra} weight at a {aid} level")
-    return _basis(aid)
+    return aid
 
 
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     """nu(theta_i-coroot) per summand (integers for catalog weights)."""
-    comarks = _label_basis(lvl, nu).comarks
+    comarks = _basis(_label_algebra(lvl, nu)).comarks
     return tuple(Fraction(sum(c * k for c, k in zip(nu.coeffs, row)))
                  for row in comarks)
 
@@ -303,7 +327,7 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
     basis data, k = p/q and h_check = a/b, this is
     (q (Q D + 2 X^2) - 2 X D (p + q)) b / (2 D^2 (p b + a q)).
     """
-    basis = _label_basis(lvl, nu)
+    basis = _basis(_label_algebra(lvl, nu))
     c = nu.coeffs
     Q = sum(ca * (r + sum(g * cb for g, cb in zip(row, c)))
             for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
@@ -321,19 +345,53 @@ def _two_rho_hat(aid: AlgebraId) -> AffineWeight:
     return 2 * AffineWeight(alg.rho, alg.h_check, 0)
 
 
+class _Ambient(NamedTuple):
+    """Ambient constants of one algebra, for the oracle."""
+
+    theta_theta: Fraction               # (theta|theta)
+    theta_two_rho: Fraction             # (theta|2 rho)
+    # (theta_hat|eta_i), eta_i = delta - theta_i; 0 for the catalog, where
+    # theta is orthogonal to g-natural, but paired rather than assumed
+    theta_eta: tuple[Fraction, ...]
+    simple_coroots: tuple[Weight, ...]  # 2 s/(s|s) per natural simple root s
+    theta_coroots: tuple[Weight, ...]   # 2 theta_i/(theta_i|theta_i)
+
+
+@lru_cache(maxsize=None)
+def _ambient_constants(aid: AlgebraId) -> _Ambient:
+    alg = build_algebra(aid)
+    theta_hat = AffineWeight(alg.theta)
+    return _Ambient(
+        theta_theta=pair(alg.theta, alg.theta),
+        theta_two_rho=pair(alg.theta, 2 * alg.rho),
+        theta_eta=tuple(affine_pair(theta_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i),
+        simple_coroots=tuple(2 / pair(s.weight, s.weight) * s.weight
+                             for s in alg.natural_simple),
+        theta_coroots=tuple(2 / pair(t, t) * t for t in alg.theta_i))
+
+
 def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
-    """Conformal weight of the reduced label: computed through the affine
-    pairing with rho-hat = rho + h_check * Lambda_0."""
+    """Conformal weight of the reduced label,
+
+        ell0(h) = (nu_hat|nu_hat + 2 rho_hat) / (2 (k + h_check)) - h,
+
+    with nu_hat = h theta + w + k Lambda_0 and rho_hat = rho + h_check
+    Lambda_0.  The Lambda_0 parts pair to 0, so by bilinearity the pairing
+    is P + h (T + R + h N) with the ambient pairings P = (w|w + 2 rho) and
+    T = 2 (theta|w) of the weight, and R = (theta|2 rho) and
+    N = (theta|theta) of the algebra: each h is a polynomial evaluation.
+    """
     h = rational(h)
-    alg = lvl.alg
-    nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
-    return (affine_pair(nu_hat, nu_hat + _two_rho_hat(alg.id))
-            / (2 * (lvl.k + alg.h_check)) - h)
+    c = _ambient_constants(_label_algebra(lvl, nu))
+    p = nu.pairings
+    return ((p.norm + h * (2 * p.theta + c.theta_two_rho + h * c.theta_theta))
+            / (2 * (lvl.k + lvl.alg.h_check)) - h)
 
 
 def extremal_h_set(lvl: Level, nu: DominantWeight) -> frozenset[Fraction]:
     """{(xi|nu), k + 1 - (xi|nu)}; a singleton when the two coincide."""
-    x = pair(lvl.alg.xi, nu.weight())
+    _label_algebra(lvl, nu)
+    x = nu.pairings.xi
     return frozenset((x, lvl.k + 1 - x))
 
 
@@ -525,14 +583,14 @@ def standard_levels(aid: AlgebraId, count: int = 10) -> list[Fraction]:
 
 
 def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
-    alg = lvl.alg
-    w = nu.weight() + alg.xi
-    for s in alg.natural_simple:
-        v = coroot_pair(w, s)
+    c = _ambient_constants(lvl.alg.id)
+    w = nu.weight() + lvl.alg.xi
+    for coroot in c.simple_coroots:
+        v = pair(w, coroot)
         if v.denominator != 1 or v < 0:
             return False
     M = level_M(lvl)
-    return all(coroot_pair(w, t) <= m for t, m in zip(alg.theta_i, M))
+    return all(pair(w, coroot) <= m for coroot, m in zip(c.theta_coroots, M))
 
 
 def first_failure(failures: Iterable[tuple[DominantWeight, Optional[Fraction]]]) -> bool | str:
@@ -593,10 +651,9 @@ def cross_identity_report(lvl: Level) -> Report:
     # check is the oracle of the basis form of A.
     def threshold_failures():
         for nu in cone:
-            w = nu.weight()
-            xi_nu = pair(alg.xi, w)
+            xi_nu = nu.pairings.xi
             threshold = A_value(lvl, nu)
-            lhs = pair(w, w + 2 * alg.rho) / 2 - threshold * (k + alg.h_check)
+            lhs = nu.pairings.norm / 2 - threshold * (k + alg.h_check)
             if lhs != xi_nu * (k + 1 - xi_nu):
                 yield nu, None
             for h in extremal_h_set(lvl, nu):
@@ -612,8 +669,7 @@ def cross_identity_report(lvl: Level) -> Report:
             if extremal[nu]:
                 hs = sorted(extremal_h_set(lvl, nu))
             else:
-                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1,
-                             pair(alg.xi, nu.weight())})
+                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1, nu.pairings.xi})
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):

@@ -13,9 +13,9 @@ from math import gcd
 
 from .affine import AffineWeight, affine_coroot_pair, affine_pair, finite_part
 from .catalog import coroot_pair
-from .classify import (A_value, DominantWeight, Level, classify_w_modules,
-                       enumerate_Pk, first_failure, level_M, table_M,
-                       theta_values)
+from .classify import (A_value, DominantWeight, Level, _ambient_constants,
+                       classify_w_modules, enumerate_Pk, first_failure,
+                       level_M, table_M, theta_values)
 from .report import Report
 from .scalars import rational_str, solve_linear, vector
 
@@ -66,6 +66,17 @@ def check_singular_weights(lvl: Level) -> Report:
 
 def _h_samples(lvl: Level):
     return (Fraction(0), lvl.k - Fraction(1, 3))
+
+
+def _eta_pairings(lvl: Level, nu: DominantWeight, h) -> tuple[Fraction, ...]:
+    """(nu_hat|eta_i) per summand, with nu_hat = h theta + w + k Lambda_0 and
+    eta_i = delta - theta_i.  By bilinearity this is
+    (w_hat + k Lambda_0|eta_i) + h (theta_hat|eta_i), and since
+    (Lambda_0|delta) = 1 the first term is k - (w|theta_i); both pairings
+    are cached, on nu and per algebra."""
+    theta_eta = _ambient_constants(nu.algebra).theta_eta
+    return tuple(lvl.k - w_t + h * t_eta
+                 for w_t, t_eta in zip(nu.pairings.theta_i, theta_eta))
 
 
 def check_affine_pairings(lvl: Level) -> Report:
@@ -125,10 +136,8 @@ def check_affine_pairings(lvl: Level) -> Report:
         for nu in enumerate_Pk(lvl):
             vals = theta_values(lvl, nu)
             for h in _h_samples(lvl):
-                nu_hat = AffineWeight(h * alg.theta + nu.weight(), k, 0)
-                for i, eta in enumerate(etas):
+                for i, base in enumerate(_eta_pairings(lvl, nu, h)):
                     c1, c0, norm = shifts[i]
-                    base = affine_pair(nu_hat, eta)
                     want = M[i] - vals[i]
                     if 2 * (base - c1 - c0) / norm != want or 2 * (base - c1) / norm != want:
                         yield nu, h

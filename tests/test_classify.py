@@ -1,10 +1,13 @@
+import dataclasses
+import sys
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walg import catalog, classify
+from walg import affine, catalog, classify, ledger
+from walg.affine import AffineWeight, affine_pair
 from walg.catalog import AlgebraId, AlgebraMismatchError, coroot_pair, pair
 from walg.classify import (AffineModuleLabel, CriticalLevelError,
                            DominantWeight, RangeError, WModuleLabel,
@@ -15,6 +18,7 @@ from walg.classify import (AffineModuleLabel, CriticalLevelError,
                            level, level_M, standard_levels, table_M,
                            theta_values, unitarity_verdict, w_module_exists)
 from walg.cli import SELFCHECK_ALGEBRAS
+from walg.scalars import rational
 
 FAMILY_REPS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "d21-3-2", "f4", "g3"]
 
@@ -377,10 +381,12 @@ def test_basis_path_matches_ambient_oracle(label):
 
 
 def test_labels_of_another_algebra_are_rejected():
-    lvl = level("f4", -2)
-    for nu in (DominantWeight(AlgebraId.parse("spo2-7"), (1, 0, 0)),
-               DominantWeight(AlgebraId.parse("spo2-5"), (1, 0))):
-        for query in (theta_values, in_truncated_cone, is_extremal, A_value):
+    spo27_nu = DominantWeight(AlgebraId.parse("spo2-7"), (1, 0, 0))
+    for lvl, nu in ((level("f4", -2), spo27_nu),
+                    (level("f4", -2), DominantWeight(AlgebraId.parse("spo2-5"), (1, 0))),
+                    (level("spo2-5", -3), spo27_nu)):
+        for query in (theta_values, in_truncated_cone, is_extremal, A_value,
+                      extremal_h_set, lambda lvl, nu: ell0(lvl, nu, 0)):
             with pytest.raises(AlgebraMismatchError):
                 query(lvl, nu)
         with pytest.raises(AlgebraMismatchError):
@@ -401,13 +407,92 @@ def test_failing_grid_checks_name_the_weight(monkeypatch):
 
 
 def test_no_cache_grows_with_levels():
-    caches = {id(f): f for module in (classify, catalog)
+    caches = {id(f): f for module in (classify, catalog, ledger, affine)
               for f in vars(module).values() if hasattr(f, "cache_info")}
-    assert len(caches) >= 3
+    assert len(caches) >= 4
     for cache in caches.values():
         cache.cache_clear()
     aid = AlgebraId.parse("spo2-5")
     for k in standard_levels(aid, 20):
-        classify_w_modules(level(aid, k))
+        lvl = level(aid, k)
+        classify_w_modules(lvl)
+        cross_identity_report(lvl)
+        ledger.run_level_ledger(lvl)
     for cache in caches.values():
         assert cache.cache_info().currsize <= 1, cache.__name__
+
+
+# --- the ambient oracle against its direct formulas -------------------------
+
+def direct_ell0(lvl, nu, h):
+    """ell0 as one affine pairing of nu_hat with nu_hat + 2 rho_hat."""
+    h = rational(h)
+    alg = lvl.alg
+    nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
+    return (affine_pair(nu_hat, nu_hat + classify._two_rho_hat(alg.id))
+            / (2 * (lvl.k + alg.h_check)) - h)
+
+
+@st.composite
+def cone_labels(draw):
+    """A family instance, one of its first standard levels, a weight of the
+    truncated cone there and an h: random, k/2 or k + 1."""
+    aid = AlgebraId.parse(draw(st.sampled_from(SELFCHECK_ALGEBRAS + ("spo2-16",))))
+    lvl = level(aid, draw(st.sampled_from(standard_levels(aid, 4))))
+    cone = enumerate_Pk(lvl)
+    nu = cone[draw(st.integers(0, len(cone) - 1))]
+    h = draw(st.one_of(st.fractions(max_denominator=12), st.just(lvl.k / 2),
+                       st.just(lvl.k + 1)))
+    return lvl, nu, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_labels())
+def test_expanded_pairings_match_direct_formulas(label):
+    lvl, nu, h = label
+    alg = lvl.alg
+    assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
+    nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
+    assert ledger._eta_pairings(lvl, nu, h) == tuple(
+        affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
+
+
+def _clear_walg_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "walg" or name.startswith("walg."):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+
+
+# one family of each FAMILY_TABLE row, at its second standard level
+MUTATION_LEVELS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "f4", "g3"]
+
+
+@pytest.mark.parametrize("field,shift,must_fail", [
+    ("rho", lambda alg: F(1, 7) * alg.theta,
+     {"classify.ell0-symmetry", "classify.threshold-roots", "classify.reduce-descends"}),
+    ("xi", lambda alg: F(1, 5) * alg.natural_simple[0].weight,
+     {"classify.extremal-dual"}),
+], ids=["rho+theta/7", "xi+alpha_nat_1/5"])
+def test_oracle_fails_on_a_mutated_algebra(monkeypatch, field, shift, must_fail):
+    """The ambient checks read rho and xi themselves: shifting either in the
+    algebra data makes them fail instead of agreeing with a copy."""
+    true_build = catalog.build_algebra
+
+    def mutated(aid):
+        alg = true_build(aid)
+        return dataclasses.replace(alg, **{field: getattr(alg, field) + shift(alg)})
+
+    for name, module in list(sys.modules.items()):
+        if (name == "walg" or name.startswith("walg.")) and \
+                vars(module).get("build_algebra") is true_build:
+            monkeypatch.setattr(module, "build_algebra", mutated)
+    _clear_walg_caches()
+    try:
+        for name in MUTATION_LEVELS:
+            lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
+            failed = {e.check_id for e in cross_identity_report(lvl).failures()}
+            assert must_fail <= failed, (name, lvl.k, failed)
+    finally:
+        _clear_walg_caches()

@@ -601,9 +601,10 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
             expected=True, computed=gammas_listed)
 
     coords = [r.weight.coords for r in alg.positive_roots]
-    no_dups = len(set(coords)) == len(coords)
-    no_neg = all(tuple(-c for c in w) not in set(coords) for w in coords)
-    simple_listed = all(s.weight.coords in set(coords) for s in alg.simple_roots)
+    pos_set = set(coords)
+    no_dups = len(pos_set) == len(coords)
+    no_neg = all(tuple(-c for c in w) not in pos_set for w in coords)
+    simple_listed = all(s.weight.coords in pos_set for s in alg.simple_roots)
     rep.add("catalog.positive-root-sanity", algebra=name,
             formula="positive roots: no duplicates, no alpha with -alpha, simples included",
             expected=True, computed=no_dups and no_neg and simple_listed)
@@ -631,7 +632,6 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
             computed=all(_in_natural_cone(alg, w) for w in natural_pos))
 
     highest = True
-    pos_set = set(coords)
     for t in alg.theta_i:
         highest = highest and t.coords in pos_set
         for s in alg.natural_simple:

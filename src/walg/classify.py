@@ -170,15 +170,6 @@ def table_M(lvl: Level) -> tuple[Fraction, ...]:
     return tuple(s * lvl.k + c for s, c in zip(slopes, aid.spec.chi))
 
 
-class _Pairings(NamedTuple):
-    """Ambient pairings of one dominant weight w, for the oracle."""
-
-    norm: Fraction                 # (w|w + 2 rho)
-    theta: Fraction                # (theta|w)
-    xi: Fraction                   # (xi|w)
-    theta_i: tuple[Fraction, ...]  # (w|theta_i)
-
-
 @dataclass(frozen=True)
 class DominantWeight:
     """Nonnegative integer coefficients over the natural fundamental weights."""
@@ -214,18 +205,25 @@ class DominantWeight:
                         coords[j] += c * v
         return Weight(aid, tuple(coords))
 
+    # The ambient pairings of w = weight() that the oracle reads, each
+    # computed on first use and kept on the instance; none depends on k.
+
     @cached_property
-    def pairings(self) -> _Pairings:
-        """The ambient pairings of w = weight() that the oracle needs, computed
-        once per instance; none depends on the level."""
-        aid = self.algebra
-        alg = build_algebra(aid)
-        w = self._weight
-        w_hat = AffineWeight(w)
-        return _Pairings(norm=affine_pair(w_hat, w_hat + _two_rho_hat(aid)),
-                         theta=pair(alg.theta, w),
-                         xi=pair(alg.xi, w),
-                         theta_i=tuple(pair(w, t) for t in alg.theta_i))
+    def norm(self) -> Fraction:  # (w|w + 2 rho)
+        w_hat = AffineWeight(self._weight)
+        return affine_pair(w_hat, w_hat + _ambient_constants(self.algebra).two_rho_hat)
+
+    @cached_property
+    def theta_pair(self) -> Fraction:  # (theta|w)
+        return pair(build_algebra(self.algebra).theta, self._weight)
+
+    @cached_property
+    def xi_pair(self) -> Fraction:  # (xi|w)
+        return pair(build_algebra(self.algebra).xi, self._weight)
+
+    @cached_property
+    def theta_i_pairs(self) -> tuple[Fraction, ...]:  # (w|theta_i) per summand
+        return tuple(pair(self._weight, t) for t in build_algebra(self.algebra).theta_i)
 
     @property
     def is_zero(self) -> bool:
@@ -298,10 +296,19 @@ def enumerate_Pk(lvl: Level) -> tuple[DominantWeight, ...]:
     return lvl.cone
 
 
+def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
+    """Where nu sits against the levels: None outside the truncated cone
+    (nu(theta_i-coroot) > M_i(k) for some summand i), else whether nu is
+    extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i)."""
+    vals = theta_values(lvl, nu)
+    if any(v > m for v, m in zip(vals, lvl.M)):
+        return None
+    return any(v > m + c for v, m, c in zip(vals, lvl.M, lvl.alg.chi))
+
+
 def in_truncated_cone(lvl: Level, nu: DominantWeight) -> bool:
     """Is nu dominant with nu(theta_i-coroot) <= M_i(k) for every summand?"""
-    M = level_M(lvl)
-    return all(v <= m for v, m in zip(theta_values(lvl, nu), M))
+    return _extremal(lvl, nu) is not None
 
 
 def is_extremal(lvl: Level, nu: DominantWeight) -> bool:
@@ -310,11 +317,10 @@ def is_extremal(lvl: Level, nu: DominantWeight) -> bool:
     Equivalent characterisation (kept as a cross-identity check): nu + xi is
     no longer in the truncated dominant cone.
     """
-    vals = theta_values(lvl, nu)
-    M = level_M(lvl)
-    if any(v > m for v, m in zip(vals, M)):
+    extremal = _extremal(lvl, nu)
+    if extremal is None:
         raise RangeError("extremality is only defined inside the truncated cone")
-    return any(v > m + c for v, m, c in zip(vals, M, lvl.alg.chi))
+    return extremal
 
 
 def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
@@ -339,12 +345,6 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
                     2 * D * D * (p * b + a * q))
 
 
-@lru_cache(maxsize=None)
-def _two_rho_hat(aid: AlgebraId) -> AffineWeight:
-    alg = build_algebra(aid)
-    return 2 * AffineWeight(alg.rho, alg.h_check, 0)
-
-
 class _Ambient(NamedTuple):
     """Ambient constants of one algebra, for the oracle."""
 
@@ -355,6 +355,7 @@ class _Ambient(NamedTuple):
     theta_eta: tuple[Fraction, ...]
     simple_coroots: tuple[Weight, ...]  # 2 s/(s|s) per natural simple root s
     theta_coroots: tuple[Weight, ...]   # 2 theta_i/(theta_i|theta_i)
+    two_rho_hat: AffineWeight           # 2 (rho + h_check Lambda_0)
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +368,8 @@ def _ambient_constants(aid: AlgebraId) -> _Ambient:
         theta_eta=tuple(affine_pair(theta_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i),
         simple_coroots=tuple(2 / pair(s.weight, s.weight) * s.weight
                              for s in alg.natural_simple),
-        theta_coroots=tuple(2 / pair(t, t) * t for t in alg.theta_i))
+        theta_coroots=tuple(2 / pair(t, t) * t for t in alg.theta_i),
+        two_rho_hat=2 * AffineWeight(alg.rho, alg.h_check, 0))
 
 
 def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
@@ -383,15 +385,14 @@ def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
     """
     h = rational(h)
     c = _ambient_constants(_label_algebra(lvl, nu))
-    p = nu.pairings
-    return ((p.norm + h * (2 * p.theta + c.theta_two_rho + h * c.theta_theta))
+    return ((nu.norm + h * (2 * nu.theta_pair + c.theta_two_rho + h * c.theta_theta))
             / (2 * (lvl.k + lvl.alg.h_check)) - h)
 
 
 def extremal_h_set(lvl: Level, nu: DominantWeight) -> frozenset[Fraction]:
     """{(xi|nu), k + 1 - (xi|nu)}; a singleton when the two coincide."""
     _label_algebra(lvl, nu)
-    x = nu.pairings.xi
+    x = nu.xi_pair
     return frozenset((x, lvl.k + 1 - x))
 
 
@@ -445,22 +446,20 @@ def affine_module_descends(lvl: Level, label: AffineModuleLabel) -> bool:
     quotient vertex algebra?  True iff nu is in the truncated cone and either
     non-extremal (h arbitrary) or extremal with h in the two-point set."""
     _require_range(lvl)
-    if not in_truncated_cone(lvl, label.nu):
+    extremal = _extremal(lvl, label.nu)
+    if extremal is None:
         return False
-    if not is_extremal(lvl, label.nu):
-        return True
-    return label.h in extremal_h_set(lvl, label.nu)
+    return not extremal or label.h in extremal_h_set(lvl, label.nu)
 
 
 def w_module_exists(lvl: Level, label: WModuleLabel) -> bool:
     """Complete-list membership for irreducible highest-weight W-modules;
     the identical predicate classifies irreducible positive-energy modules."""
     _require_range(lvl)
-    if not in_truncated_cone(lvl, label.nu):
+    extremal = _extremal(lvl, label.nu)
+    if extremal is None:
         return False
-    if not is_extremal(lvl, label.nu):
-        return True
-    return label.ell0 is not None and label.ell0 == A_value(lvl, label.nu)
+    return not extremal or (label.ell0 is not None and label.ell0 == A_value(lvl, label.nu))
 
 
 def hamiltonian_reduce(lvl: Level, label: AffineModuleLabel) -> Optional[WModuleLabel]:
@@ -497,11 +496,10 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     M = level_M(lvl)
     if any(m.denominator != 1 or m < 0 for m in M):
         return not_unitary("1a")
-    vals = theta_values(lvl, label.nu)
-    if any(v > m for v, m in zip(vals, M)):
+    extremal = _extremal(lvl, label.nu)
+    if extremal is None:
         return not_unitary("1b")
     threshold = A_value(lvl, label.nu)
-    extremal = any(v > m + c for v, m, c in zip(vals, M, lvl.alg.chi))
     if label.ell0 < threshold or (extremal and label.ell0 != threshold):
         return not_unitary("1c")
     if label.nu.is_zero and label.ell0 == 0:
@@ -537,7 +535,6 @@ def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
     minimal unitary value ell0 = A; any larger ell0 gives the same verdict),
     extremal ones are pinned to ell0 = A(k, nu).
     """
-    _require_range(lvl)
     out = []
     for nu in enumerate_Pk(lvl):
         extremal = is_extremal(lvl, nu)
@@ -549,7 +546,6 @@ def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
 
 
 def classify_affine_modules(lvl: Level) -> tuple[AffineModuleRecord, ...]:
-    _require_range(lvl)
     out = []
     for nu in enumerate_Pk(lvl):
         extremal = is_extremal(lvl, nu)
@@ -651,9 +647,9 @@ def cross_identity_report(lvl: Level) -> Report:
     # check is the oracle of the basis form of A.
     def threshold_failures():
         for nu in cone:
-            xi_nu = nu.pairings.xi
+            xi_nu = nu.xi_pair
             threshold = A_value(lvl, nu)
-            lhs = nu.pairings.norm / 2 - threshold * (k + alg.h_check)
+            lhs = nu.norm / 2 - threshold * (k + alg.h_check)
             if lhs != xi_nu * (k + 1 - xi_nu):
                 yield nu, None
             for h in extremal_h_set(lvl, nu):
@@ -669,7 +665,7 @@ def cross_identity_report(lvl: Level) -> Report:
             if extremal[nu]:
                 hs = sorted(extremal_h_set(lvl, nu))
             else:
-                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1, nu.pairings.xi})
+                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1, nu.xi_pair})
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):

@@ -20,7 +20,7 @@ from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
                        classify_affine_modules, classify_w_modules,
                        cross_identity_report, hamiltonian_reduce,
                        in_truncated_cone, in_unitarity_range, is_extremal,
-                       level_M, standard_levels, unitarity_verdict,
+                       level, level_M, standard_levels, unitarity_verdict,
                        w_record_json)
 from .ledger import check_d21_cone, run_level_ledger
 from .report import Report
@@ -145,8 +145,7 @@ def _cmd_info(args) -> tuple[int, str]:
 
 
 def _cmd_range(args) -> tuple[int, str]:
-    alg = build_algebra(AlgebraId.parse(args.algebra))
-    lvl = Level(alg, rational(args.k))
+    lvl = level(args.algebra, args.k)
     payload = {
         "algebra": lvl.name,
         "k": rational_str(lvl.k),
@@ -157,8 +156,7 @@ def _cmd_range(args) -> tuple[int, str]:
 
 
 def _cmd_modules(args) -> tuple[int, str]:
-    alg = build_algebra(AlgebraId.parse(args.algebra))
-    lvl = Level(alg, rational(args.k))
+    lvl = level(args.algebra, args.k)
     payload = _catalog_header(lvl)
     if args.affine:
         payload["kind"] = "affine"
@@ -186,9 +184,8 @@ def _cmd_modules(args) -> tuple[int, str]:
 
 
 def _cmd_unitary(args) -> tuple[int, str]:
-    alg = build_algebra(AlgebraId.parse(args.algebra))
-    lvl = Level(alg, rational(args.k))
-    nu = _parse_nu(alg, args.nu)
+    lvl = level(args.algebra, args.k)
+    nu = _parse_nu(lvl.alg, args.nu)
     label = WModuleLabel(nu, rational(args.ell0))
     verdict = unitarity_verdict(lvl, label)
     payload = {
@@ -204,9 +201,8 @@ def _cmd_unitary(args) -> tuple[int, str]:
 
 
 def _cmd_reduce(args) -> tuple[int, str]:
-    alg = build_algebra(AlgebraId.parse(args.algebra))
-    lvl = Level(alg, rational(args.k))
-    nu = _parse_nu(alg, args.nu)
+    lvl = level(args.algebra, args.k)
+    nu = _parse_nu(lvl.alg, args.nu)
     label = AffineModuleLabel(nu, rational(args.h))
     reduced = hamiltonian_reduce(lvl, label)
     payload = {

@@ -76,7 +76,7 @@ def _eta_pairings(lvl: Level, nu: DominantWeight, h) -> tuple[Fraction, ...]:
     are cached, on nu and per algebra."""
     theta_eta = _ambient_constants(nu.algebra).theta_eta
     return tuple(lvl.k - w_t + h * t_eta
-                 for w_t, t_eta in zip(nu.pairings.theta_i, theta_eta))
+                 for w_t, t_eta in zip(nu.theta_i_pairs, theta_eta))
 
 
 def check_affine_pairings(lvl: Level) -> Report:
@@ -93,9 +93,10 @@ def check_affine_pairings(lvl: Level) -> Report:
     delta = AffineWeight(0 * alg.theta, 0, 1)
     k_lambda0 = AffineWeight(0 * alg.theta, k, 0)
     lam_prime = k_lambda0 - delta + theta - alpha1
+    alpha0 = delta - theta
+    etas = [delta - finite_part(t) for t in alg.theta_i]
 
-    for i, theta_i in enumerate(alg.theta_i):
-        eta = delta - finite_part(theta_i)
+    for i, (theta_i, eta) in enumerate(zip(alg.theta_i, etas)):
         rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,
                 formula="(Lambda'|eta_i-coroot) = M_i(k)",
                 expected=M[i], computed=affine_coroot_pair(lam_prime, eta))
@@ -116,7 +117,6 @@ def check_affine_pairings(lvl: Level) -> Report:
                     formula="(Lambda'''_i|alpha_1) = -k + 1",
                     expected=-k + 1, computed=affine_pair(lam_triple, alpha1))
         else:
-            alpha0 = delta - theta
             rep.add("spo23.nonvanishing-a0a1", algebra=name, k=k,
                     formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
                     expected=-k - Fraction(1, 2),
@@ -126,8 +126,6 @@ def check_affine_pairings(lvl: Level) -> Report:
                     expected=(M[0] + 1) / 2,
                     computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
 
-    alpha0 = delta - theta
-    etas = [delta - finite_part(t) for t in alg.theta_i]
     # constants per summand; the nu_hat pairing is the only per-weight part
     shifts = [(affine_pair(alpha1, eta), affine_pair(alpha0, eta),
                affine_pair(eta, eta)) for eta in etas]

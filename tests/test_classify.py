@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import sys
 from fractions import Fraction as F
@@ -371,13 +372,21 @@ def test_basis_path_matches_ambient_oracle(label):
     assert theta_values(lvl, nu) == tuple(coroot_pair(w, t) for t in alg.theta_i)
     inside = all(coroot_pair(w, t) <= m for t, m in zip(alg.theta_i, table_M(lvl)))
     assert in_truncated_cone(lvl, nu) is inside
+    shifted = w + alg.xi
+    dual_inside = all(coroot_pair(shifted, s).denominator == 1
+                      and coroot_pair(shifted, s) >= 0 for s in alg.natural_simple
+                      ) and all(coroot_pair(shifted, t) <= m
+                                for t, m in zip(alg.theta_i, table_M(lvl)))
     if inside:
-        shifted = w + alg.xi
-        dual_inside = all(coroot_pair(shifted, s).denominator == 1
-                          and coroot_pair(shifted, s) >= 0 for s in alg.natural_simple
-                          ) and all(coroot_pair(shifted, t) <= m
-                                    for t, m in zip(alg.theta_i, table_M(lvl)))
         assert is_extremal(lvl, nu) is (not dual_inside)
+    # the consumers of the cone-and-extremality placement
+    generic = inside and dual_inside
+    verdict = unitarity_verdict(lvl, WModuleLabel(nu, ambient_A(lvl, nu)))
+    assert (str(verdict) == "not_unitary:1b") is (not inside)
+    assert w_module_exists(lvl, WModuleLabel(nu, None)) is generic
+    xi_nu = pair(alg.xi, w)
+    h = next(h for h in (F(0), F(1), F(2)) if h not in (xi_nu, lvl.k + 1 - xi_nu))
+    assert affine_module_descends(lvl, AffineModuleLabel(nu, h)) is generic
 
 
 def test_labels_of_another_algebra_are_rejected():
@@ -429,7 +438,7 @@ def direct_ell0(lvl, nu, h):
     h = rational(h)
     alg = lvl.alg
     nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
-    return (affine_pair(nu_hat, nu_hat + classify._two_rho_hat(alg.id))
+    return (affine_pair(nu_hat, nu_hat + classify._ambient_constants(alg.id).two_rho_hat)
             / (2 * (lvl.k + alg.h_check)) - h)
 
 
@@ -465,6 +474,28 @@ def _clear_walg_caches():
                     f.cache_clear()
 
 
+@contextlib.contextmanager
+def mutated_algebras(monkeypatch, field, shift):
+    """build_algebra, in every walg namespace that binds it, returns the
+    algebra with `field` shifted by shift(alg); every walg cache is cleared
+    on entry and on exit."""
+    true_build = catalog.build_algebra
+
+    def mutated(aid):
+        alg = true_build(aid)
+        return dataclasses.replace(alg, **{field: getattr(alg, field) + shift(alg)})
+
+    for name, module in list(sys.modules.items()):
+        if (name == "walg" or name.startswith("walg.")) and \
+                vars(module).get("build_algebra") is true_build:
+            monkeypatch.setattr(module, "build_algebra", mutated)
+    _clear_walg_caches()
+    try:
+        yield
+    finally:
+        _clear_walg_caches()
+
+
 # one family of each FAMILY_TABLE row, at its second standard level
 MUTATION_LEVELS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "f4", "g3"]
 
@@ -478,21 +509,24 @@ MUTATION_LEVELS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "f4", "g3"]
 def test_oracle_fails_on_a_mutated_algebra(monkeypatch, field, shift, must_fail):
     """The ambient checks read rho and xi themselves: shifting either in the
     algebra data makes them fail instead of agreeing with a copy."""
-    true_build = catalog.build_algebra
-
-    def mutated(aid):
-        alg = true_build(aid)
-        return dataclasses.replace(alg, **{field: getattr(alg, field) + shift(alg)})
-
-    for name, module in list(sys.modules.items()):
-        if (name == "walg" or name.startswith("walg.")) and \
-                vars(module).get("build_algebra") is true_build:
-            monkeypatch.setattr(module, "build_algebra", mutated)
-    _clear_walg_caches()
-    try:
+    with mutated_algebras(monkeypatch, field, shift):
         for name in MUTATION_LEVELS:
             lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
             failed = {e.check_id for e in cross_identity_report(lvl).failures()}
             assert must_fail <= failed, (name, lvl.k, failed)
-    finally:
-        _clear_walg_caches()
+
+
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_eta_pairings_keep_the_h_term(monkeypatch, name):
+    """(theta_hat|eta_i) = -(theta|theta_i) is 0 for every catalog algebra,
+    so the h term of _eta_pairings is checked with theta + theta_1/3, where
+    it is not: a sign flip of that term fails here."""
+    with mutated_algebras(monkeypatch, "theta", lambda alg: F(1, 3) * alg.theta_i[0]):
+        lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
+        alg = lvl.alg
+        assert classify._ambient_constants(alg.id).theta_eta[0] != 0
+        for nu in enumerate_Pk(lvl)[:6]:
+            for h in (F(1, 3), lvl.k / 2):
+                nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
+                assert ledger._eta_pairings(lvl, nu, h) == tuple(
+                    affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)

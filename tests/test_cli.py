@@ -214,6 +214,14 @@ def test_data_dir_override(tmp_path):
     assert proc.returncode == 1
 
 
+def test_python_m_walg_runs_the_cli_cleanly():
+    proc = subprocess.run([sys.executable, "-m", "walg", "selfcheck"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("all pass\n")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "walg.cli", "info", "psl2-2"],

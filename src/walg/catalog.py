@@ -123,8 +123,7 @@ def _spo2_params(aid: "AlgebraId"):
 
 
 def _d21_params(aid: "AlgebraId"):
-    if not (isinstance(aid.m, int) and isinstance(aid.n, int)
-            and aid.m >= 1 and aid.n >= 1):
+    if not (type(aid.m) is int and type(aid.n) is int and aid.m >= 1 and aid.n >= 1):
         raise InvalidAlgebraError("d21 needs positive integers m, n")
     if gcd(aid.m, aid.n) != 1:
         raise InvalidAlgebraError(f"d21-{aid.m}-{aid.n}: m and n must be coprime")
@@ -419,6 +418,17 @@ def _gram_sparse(aid: AlgebraId) -> tuple[tuple[tuple[int, Fraction], ...], ...]
                  for row in aid.spec.gram(aid.m, aid.n))
 
 
+def _weight_sum(aid: AlgebraId, terms) -> Weight:
+    """sum c w over (coefficient, weight) pairs, as one Weight of aid."""
+    coords = [Fraction(0)] * aid.dim
+    for c, w in terms:
+        if c:
+            for j, v in enumerate(w.coords):
+                if v:
+                    coords[j] += c * v
+    return Weight(aid, tuple(coords))
+
+
 def pair(a: Weight, b: Weight) -> Fraction:
     """Invariant bilinear form of two weights of the same algebra."""
     if a.algebra != b.algebra:
@@ -456,15 +466,9 @@ def _solve_fundamental(natural_simple: tuple[Root, ...]) -> tuple[Weight, ...]:
     n = len(roots)
     cartan = tuple(tuple(coroot_pair(roots[b], roots[c]) for b in range(n))
                    for c in range(n))
-    out = []
-    for a in range(n):
-        rhs = vector(int(c == a) for c in range(n))
-        coeffs = solve_linear(cartan, rhs)
-        w = roots[0] * coeffs[0]
-        for b in range(1, n):
-            w = w + roots[b] * coeffs[b]
-        out.append(w)
-    return tuple(out)
+    # row a holds the coefficients of omega_a over the natural simple roots
+    rows = (solve_linear(cartan, vector(int(b == a) for b in range(n))) for a in range(n))
+    return tuple(_weight_sum(roots[0].algebra, zip(row, roots)) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -485,21 +489,9 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
     raw = rootdata.load_positive_roots(data_key, num_e=num_e, num_d=num_d, m=bound)
     positive = tuple(Root(Weight(aid, coords), parity) for parity, coords in raw)
 
-    zero = Weight(aid, [0] * aid.dim)
-    even_sum = odd_sum = zero
-    for root in positive:
-        if root.is_odd:
-            odd_sum = odd_sum + root.weight
-        else:
-            even_sum = even_sum + root.weight
-    rho = _HALF * even_sum - _HALF * odd_sum
-
-    natural_pos = [r for r in positive
-                   if not r.is_odd and pair(r.weight, theta) == 0]
-    nat_sum = zero
-    for root in natural_pos:
-        nat_sum = nat_sum + root.weight
-    rho_nat = _HALF * nat_sum
+    rho = _weight_sum(aid, ((-_HALF if r.is_odd else _HALF, r.weight) for r in positive))
+    rho_nat = _weight_sum(aid, ((_HALF, r.weight) for r in positive
+                               if not r.is_odd and pair(r.weight, theta) == 0))
 
     alpha1 = simple[0].weight
     # restriction to the Cartan of g-natural = orthogonal projection away
@@ -546,18 +538,15 @@ def expected_chi(aid: AlgebraId) -> tuple[Fraction, ...]:
 def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
     """Is w a nonnegative-integer combination of the g-natural simple roots?
 
-    Solves for the coefficients via the (nonsingular) Gram matrix of the
-    natural simple roots, then verifies the expansion reproduces w exactly.
+    Since omega_a(alpha_b-coroot) = delta_ab, the coefficient of alpha_a in
+    w = sum_b c_b alpha_b is c_a = 2 (w|omega_a) / (alpha_a|alpha_a).  The
+    alpha_a are independent, so w lies in their span exactly when the
+    expansion with these coefficients reproduces w.
     """
     roots = [r.weight for r in alg.natural_simple]
-    n = len(roots)
-    gram = tuple(tuple(pair(roots[a], roots[b]) for b in range(n)) for a in range(n))
-    rhs = vector(pair(w, roots[a]) for a in range(n))
-    coeffs = solve_linear(gram, rhs)
-    recombined = Weight(alg.id, [0] * alg.id.dim)
-    for c, r in zip(coeffs, roots):
-        recombined = recombined + c * r
-    if recombined != w:
+    coeffs = [2 * pair(w, omega) / pair(r, r)
+              for omega, r in zip(alg.natural_fundamental, roots)]
+    if _weight_sum(alg.id, zip(coeffs, roots)) != w:
         return False
     return all(c.denominator == 1 and c >= 0 for c in coeffs)
 

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .affine import AffineWeight, affine_pair
 from .catalog import (AlgebraData, AlgebraId, AlgebraMismatchError, Weight,
-                      build_algebra, coroot_pair, pair)
+                      _weight_sum, build_algebra, coroot_pair, pair)
 from .report import Report
 from .scalars import rational, rational_str
 
@@ -196,14 +196,8 @@ class DominantWeight:
 
     @cached_property
     def _weight(self) -> Weight:
-        aid = self.algebra
-        coords = [Fraction(0)] * aid.dim
-        for c, omega in zip(self.coeffs, build_algebra(aid).natural_fundamental):
-            if c:
-                for j, v in enumerate(omega.coords):
-                    if v:
-                        coords[j] += c * v
-        return Weight(aid, tuple(coords))
+        alg = build_algebra(self.algebra)
+        return _weight_sum(alg.id, zip(self.coeffs, alg.natural_fundamental))
 
     # The ambient pairings of w = weight() that the oracle reads, each
     # computed on first use and kept on the instance; none depends on k.

@@ -2,7 +2,8 @@
 
 Every scalar in the math core is a `fractions.Fraction`: arithmetic is exact,
 values are kept in lowest terms with a positive denominator, and floats are
-rejected at the boundary so binary rounding can never leak in.
+rejected at the boundary so binary rounding can never leak in.  So are bools,
+which Python counts as the ints 0 and 1.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def rational(value: RationalLike) -> Fraction:
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass an int, Fraction, or 'p/q' string")
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{type(value).__name__} values are not exact rationals; "
+                        "pass an int, Fraction, or 'p/q' string")
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_TEXT.fullmatch(text):

@@ -1,15 +1,21 @@
 import ast
+import dataclasses
 import pickle
 from fractions import Fraction as F
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import walg
-from walg.catalog import (AlgebraId, AlgebraMismatchError, InvalidAlgebraError,
-                          IsotropyError, Weight, build_algebra, coroot_pair,
+from walg.affine import eta_membership_check
+from walg.catalog import (AlgebraData, AlgebraId, AlgebraMismatchError,
+                          InvalidAlgebraError, IsotropyError, Weight,
+                          _in_natural_cone, build_algebra, coroot_pair,
                           expected_chi, expected_h_check, pair,
                           selfcheck_algebra)
+from walg.scalars import solve_linear, vector
 
 ALL_NAMES = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "spo2-7", "spo2-8",
              "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3"]
@@ -29,6 +35,23 @@ def test_selfcheck_all_pass(name):
 def test_invalid_ids_rejected(bad):
     with pytest.raises(InvalidAlgebraError):
         AlgebraId.parse(bad)
+
+
+@pytest.mark.parametrize("m,n", [(True, 2), (2, True), (1, True)])
+def test_d21_rejects_bool_parameters(m, n):
+    with pytest.raises(InvalidAlgebraError):
+        AlgebraId("d21", m, n)
+
+
+WIDE_GRID = ([f"spo2-{m}" for m in range(5, 33)]
+             + [f"d21-{m}-{n}" for m in range(1, 10) for n in range(1, 10) if gcd(m, n) == 1])
+
+
+@pytest.mark.parametrize("name", WIDE_GRID)
+def test_catalog_invariants_on_the_wide_grid(name):
+    a = alg(name)
+    for report in (selfcheck_algebra(a), eta_membership_check(a)):
+        assert report.all_pass, [e.line() for e in report.failures()]
 
 
 def test_d21_1_1_is_constructible_but_off_the_sampling_grid():
@@ -241,3 +264,60 @@ def test_no_family_branches_outside_the_table():
     hits = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
             for line in family_branches(ast.parse(path.read_text(encoding="utf-8")))]
     assert hits == []
+
+
+def _in_natural_cone_by_gram(alg: AlgebraData, w: Weight) -> bool:
+    """Is w a nonnegative-integer combination of the g-natural simple roots?
+
+    Solves for the coefficients via the (nonsingular) Gram matrix of the
+    natural simple roots, then verifies the expansion reproduces w exactly.
+    """
+    roots = [r.weight for r in alg.natural_simple]
+    n = len(roots)
+    gram = tuple(tuple(pair(roots[a], roots[b]) for b in range(n)) for a in range(n))
+    rhs = vector(pair(w, roots[a]) for a in range(n))
+    coeffs = solve_linear(gram, rhs)
+    recombined = Weight(alg.id, [0] * alg.id.dim)
+    for c, r in zip(coeffs, roots):
+        recombined = recombined + c * r
+    if recombined != w:
+        return False
+    return all(c.denominator == 1 and c >= 0 for c in coeffs)
+
+
+def natural_span_candidates(a):
+    """Roots in and out of the natural cone, off-lattice and off-span weights."""
+    simple = [s.weight for s in a.natural_simple]
+    for r in a.positive_roots:
+        yield r.weight
+        yield -r.weight
+    for s, t in product(simple, repeat=2):
+        yield s + t
+    for s in simple:
+        yield F(1, 2) * s
+    yield from (a.theta, a.xi, a.rho)
+
+
+def test_natural_span_matches_the_gram_solve():
+    names = ALL_NAMES + ["spo2-9", "spo2-16", "d21-7-4"]
+    tried = inside = 0
+    for name in names:
+        a = alg(name)
+        for w in natural_span_candidates(a):
+            expected = _in_natural_cone_by_gram(a, w)
+            assert _in_natural_cone(a, w) is expected, (name, w)
+            tried += 1
+            inside += expected
+    assert tried == 738
+    assert 0 < inside < tried
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_natural_span_reads_the_fundamental_weights(name):
+    # omega_1 + alpha_last/3 is no longer dual to the simple coroots, and the
+    # coefficients read off it no longer rebuild the natural roots
+    a = alg(name)
+    shifted = a.natural_fundamental[0] + F(1, 3) * a.natural_simple[-1].weight
+    bad = dataclasses.replace(a, natural_fundamental=(shifted,) + a.natural_fundamental[1:])
+    failed = {e.check_id for e in selfcheck_algebra(bad).failures()}
+    assert {"catalog.fundamental-duality", "catalog.natural-span"} <= failed

@@ -34,6 +34,23 @@ def test_dominant_weight_rejects_non_int_coefficients(bad):
         DominantWeight(AlgebraId.parse("spo2-3"), (bad,))
 
 
+F4_NU = DominantWeight(AlgebraId.parse("f4"), (0, 0, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rational(True),
+    lambda: level("f4", True),
+    lambda: WModuleLabel(F4_NU, True),
+    lambda: AffineModuleLabel(F4_NU, False),
+    lambda: ell0(level("f4", -2), F4_NU, True),
+    lambda: catalog.Weight(F4_NU.algebra, (True, 0, 0, 0)),
+], ids=["rational", "level", "w-label", "affine-label", "ell0", "weight"])
+def test_bools_are_not_rationals(make):
+    # bool is a subclass of int, so True would otherwise pass as 1
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_critical_level_rejected():
     with pytest.raises(CriticalLevelError):
         level("spo2-3", F(-1, 2))

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import floor, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .affine import AffineWeight, affine_pair
@@ -115,6 +116,16 @@ class Level:
         return tuple(2 * self.k / n + c for n, c in zip(norms, self.alg.chi))
 
     @cached_property
+    def _margins(self) -> tuple[Fraction, ...]:  # M_i(k) + chi_i
+        return tuple(m + c for m, c in zip(self.M, self.alg.chi))
+
+    @cached_property
+    def _floors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # floor(M_i) and floor(M_i + chi_i): an integer exceeds a rational
+        # exactly when it exceeds the rational's floor
+        return tuple(map(floor, self.M)), tuple(map(floor, self._margins))
+
+    @cached_property
     def cone(self) -> tuple[DominantWeight, ...]:
         """The truncated cone P_k, in lexicographic coefficient order.
 
@@ -199,25 +210,44 @@ class DominantWeight:
         alg = build_algebra(self.algebra)
         return _weight_sum(alg.id, zip(self.coeffs, alg.natural_fundamental))
 
-    # The ambient pairings of w = weight() that the oracle reads, each
-    # computed on first use and kept on the instance; none depends on k.
+    # The ambient pairings of w = weight() that the oracle reads, on the
+    # integers of _Ambient: L w, then E times each pairing.  Each is computed
+    # on first use and kept on the instance; none depends on k.
 
     @cached_property
+    def _scaled(self) -> tuple[int, ...]:  # L w
+        return tuple(_dot(self.coeffs, col) for col in _ambient_constants(self.algebra).omega)
+
+    @cached_property
+    def _norm(self) -> int:  # E (w|w + 2 rho)
+        c = _ambient_constants(self.algebra)  # L w . (G' L w + G' L 2 rho)
+        g_w = (_dot(self.coeffs, col) + r for col, r in zip(c.g_omega, c.g_two_rho))
+        return _dot(self._scaled, g_w)
+
+    @cached_property
+    def _theta(self) -> int:  # E (theta|w)
+        return _dot(self._scaled, _ambient_constants(self.algebra).g_theta)
+
+    @cached_property
+    def _theta_i(self) -> tuple[int, ...]:  # E (w|theta_i) per summand
+        return tuple(_dot(self._scaled, t) for t in _ambient_constants(self.algebra).g_theta_i)
+
+    @property
     def norm(self) -> Fraction:  # (w|w + 2 rho)
-        w_hat = AffineWeight(self._weight)
-        return affine_pair(w_hat, w_hat + _ambient_constants(self.algebra).two_rho_hat)
+        return Fraction(self._norm, _ambient_constants(self.algebra).E)
 
-    @cached_property
+    @property
     def theta_pair(self) -> Fraction:  # (theta|w)
-        return pair(build_algebra(self.algebra).theta, self._weight)
+        return Fraction(self._theta, _ambient_constants(self.algebra).E)
 
     @cached_property
     def xi_pair(self) -> Fraction:  # (xi|w)
-        return pair(build_algebra(self.algebra).xi, self._weight)
+        c = _ambient_constants(self.algebra)
+        return Fraction(_dot(self._scaled, c.g_xi), c.E)
 
-    @cached_property
+    @property
     def theta_i_pairs(self) -> tuple[Fraction, ...]:  # (w|theta_i) per summand
-        return tuple(pair(self._weight, t) for t in build_algebra(self.algebra).theta_i)
+        return tuple(Fraction(t, _ambient_constants(self.algebra).E) for t in self._theta_i)
 
     @property
     def is_zero(self) -> bool:
@@ -271,11 +301,14 @@ def _label_algebra(lvl: Level, nu: DominantWeight) -> AlgebraId:
     return aid
 
 
+def _theta_ints(lvl: Level, nu: DominantWeight) -> tuple[int, ...]:
+    comarks = _basis(_label_algebra(lvl, nu)).comarks
+    return tuple(_dot(nu.coeffs, row) for row in comarks)
+
+
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     """nu(theta_i-coroot) per summand (integers for catalog weights)."""
-    comarks = _basis(_label_algebra(lvl, nu)).comarks
-    return tuple(Fraction(sum(c * k for c, k in zip(nu.coeffs, row)))
-                 for row in comarks)
+    return tuple(map(Fraction, _theta_ints(lvl, nu)))
 
 
 def _require_range(lvl: Level):
@@ -294,10 +327,11 @@ def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
     """Where nu sits against the levels: None outside the truncated cone
     (nu(theta_i-coroot) > M_i(k) for some summand i), else whether nu is
     extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i)."""
-    vals = theta_values(lvl, nu)
-    if any(v > m for v, m in zip(vals, lvl.M)):
+    vals = _theta_ints(lvl, nu)
+    floors, margins = lvl._floors
+    if any(v > m for v, m in zip(vals, floors)):
         return None
-    return any(v > m + c for v, m, c in zip(vals, lvl.M, lvl.alg.chi))
+    return any(v > m for v, m in zip(vals, margins))
 
 
 def in_truncated_cone(lvl: Level, nu: DominantWeight) -> bool:
@@ -329,9 +363,8 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
     """
     basis = _basis(_label_algebra(lvl, nu))
     c = nu.coeffs
-    Q = sum(ca * (r + sum(g * cb for g, cb in zip(row, c)))
-            for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
-    X = sum(x * ca for x, ca in zip(basis.xi, c))
+    Q = sum(ca * (r + _dot(row, c)) for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
+    X = _dot(basis.xi, c)
     D = basis.D
     p, q = lvl.k.numerator, lvl.k.denominator
     a, b = lvl.alg.h_check.numerator, lvl.alg.h_check.denominator
@@ -339,31 +372,68 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
                     2 * D * D * (p * b + a * q))
 
 
-class _Ambient(NamedTuple):
-    """Ambient constants of one algebra, for the oracle."""
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
-    theta_theta: Fraction               # (theta|theta)
-    theta_two_rho: Fraction             # (theta|2 rho)
-    # (theta_hat|eta_i), eta_i = delta - theta_i; 0 for the catalog, where
+
+class _Ambient(NamedTuple):
+    """Ambient data of one algebra for the oracle, on integers: with L and G
+    the common denominators of the weights below and of the Gram matrix, and
+    G' = G gram, (u|v) = (L u).G'(L v) / E for E = G L^2.  Vectors are L
+    times a weight (G' applied where named g_), scalars E times a pairing."""
+
+    E: int
+    # L omega_a and G' L omega_a by coordinate: omega[j][a], g_omega[j][a]
+    omega: tuple[tuple[int, ...], ...]
+    g_omega: tuple[tuple[int, ...], ...]
+    xi: tuple[int, ...]                      # L xi
+    g_theta: tuple[int, ...]
+    g_xi: tuple[int, ...]
+    g_two_rho: tuple[int, ...]
+    g_theta_i: tuple[tuple[int, ...], ...]
+    # (G' L s, E (s|s)) per natural simple root s
+    simple: tuple[tuple[tuple[int, ...], int], ...]
+    theta_i_norms: tuple[int, ...]           # E (theta_i|theta_i)
+    theta_theta: int                         # E (theta|theta)
+    theta_two_rho: int                       # E (theta|2 rho)
+    # E (theta_hat|eta_i), eta_i = delta - theta_i; 0 for the catalog, where
     # theta is orthogonal to g-natural, but paired rather than assumed
-    theta_eta: tuple[Fraction, ...]
-    simple_coroots: tuple[Weight, ...]  # 2 s/(s|s) per natural simple root s
-    theta_coroots: tuple[Weight, ...]   # 2 theta_i/(theta_i|theta_i)
-    two_rho_hat: AffineWeight           # 2 (rho + h_check Lambda_0)
+    theta_eta: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _ambient_constants(aid: AlgebraId) -> _Ambient:
     alg = build_algebra(aid)
-    theta_hat = AffineWeight(alg.theta)
+    simple = [s.weight for s in alg.natural_simple]
+    two_rho = 2 * alg.rho
+    weights = (*alg.natural_fundamental, alg.theta, alg.xi, two_rho, *alg.theta_i, *simple)
+    L = lcm(*(x.denominator for w in weights for x in w.coords))
+    G = lcm(*(g.denominator for row in alg.gram for g in row))
+    E = G * L * L
+    gram = [[int(G * g) for g in row] for row in alg.gram]
+
+    def scaled(w: Weight) -> tuple[int, ...]:
+        return tuple(int(L * x) for x in w.coords)
+
+    def applied(w: Weight) -> tuple[int, ...]:
+        return tuple(_dot(row, scaled(w)) for row in gram)
+
+    # each E (u|v) below is an integer, since L clears both weights
     return _Ambient(
-        theta_theta=pair(alg.theta, alg.theta),
-        theta_two_rho=pair(alg.theta, 2 * alg.rho),
-        theta_eta=tuple(affine_pair(theta_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i),
-        simple_coroots=tuple(2 / pair(s.weight, s.weight) * s.weight
-                             for s in alg.natural_simple),
-        theta_coroots=tuple(2 / pair(t, t) * t for t in alg.theta_i),
-        two_rho_hat=2 * AffineWeight(alg.rho, alg.h_check, 0))
+        E=E,
+        omega=tuple(zip(*map(scaled, alg.natural_fundamental))),
+        g_omega=tuple(zip(*map(applied, alg.natural_fundamental))),
+        xi=scaled(alg.xi),
+        g_theta=applied(alg.theta),
+        g_xi=applied(alg.xi),
+        g_two_rho=applied(two_rho),
+        g_theta_i=tuple(map(applied, alg.theta_i)),
+        simple=tuple((applied(s), int(E * pair(s, s))) for s in simple),
+        theta_i_norms=tuple(int(E * pair(t, t)) for t in alg.theta_i),
+        theta_theta=int(E * pair(alg.theta, alg.theta)),
+        theta_two_rho=int(E * pair(alg.theta, two_rho)),
+        theta_eta=tuple(int(E * affine_pair(AffineWeight(alg.theta), AffineWeight(-t, 0, 1)))
+                        for t in alg.theta_i))
 
 
 def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
@@ -373,14 +443,21 @@ def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
 
     with nu_hat = h theta + w + k Lambda_0 and rho_hat = rho + h_check
     Lambda_0.  The Lambda_0 parts pair to 0, so by bilinearity the pairing
-    is P + h (T + R + h N) with the ambient pairings P = (w|w + 2 rho) and
-    T = 2 (theta|w) of the weight, and R = (theta|2 rho) and
-    N = (theta|theta) of the algebra: each h is a polynomial evaluation.
+    is (P + h (2 T + R + h N)) / E with the integers P = E (w|w + 2 rho) and
+    T = E (theta|w) of the weight, and R = E (theta|2 rho) and
+    N = E (theta|theta) of the algebra (see _Ambient).  With k = p/q,
+    h = r/s and h_check = a/b, and d = p b + a q, this is
+
+        (q b (P s^2 + r s (2 T + R) + r^2 N) - 2 E r s d) / (2 E s^2 d).
     """
     h = rational(h)
     c = _ambient_constants(_label_algebra(lvl, nu))
-    return ((nu.norm + h * (2 * nu.theta_pair + c.theta_two_rho + h * c.theta_theta))
-            / (2 * (lvl.k + lvl.alg.h_check)) - h)
+    p, q = lvl.k.numerator, lvl.k.denominator
+    r, s = h.numerator, h.denominator
+    a, b = lvl.alg.h_check.numerator, lvl.alg.h_check.denominator
+    d = p * b + a * q
+    pairing = nu._norm * s * s + r * (s * (2 * nu._theta + c.theta_two_rho) + r * c.theta_theta)
+    return Fraction(q * b * pairing - 2 * c.E * r * s * d, 2 * c.E * s * s * d)
 
 
 def extremal_h_set(lvl: Level, nu: DominantWeight) -> frozenset[Fraction]:
@@ -499,8 +576,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        if all((m + c).denominator == 1 and m + c >= 0
-               for m, c in zip(M, lvl.alg.chi)):
+        if all(m.denominator == 1 and m >= 0 for m in lvl._margins):
             return UNITARY
         return OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
@@ -573,14 +649,19 @@ def standard_levels(aid: AlgebraId, count: int = 10) -> list[Fraction]:
 
 
 def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
+    """Is v = w + xi in the truncated dominant cone?  On the integers of
+    _Ambient, with V = L v: 2 V.G'(L s) / E (s|s) is a nonnegative integer
+    per natural simple root s, and v(theta_i-coroot) <= M_i(k) reads
+    2 (V.G'(L theta_i) - k E) / E (theta_i|theta_i) <= chi_i per summand."""
     c = _ambient_constants(lvl.alg.id)
-    w = nu.weight() + lvl.alg.xi
-    for coroot in c.simple_coroots:
-        v = pair(w, coroot)
-        if v.denominator != 1 or v < 0:
+    v = tuple(map(sum, zip(nu._scaled, c.xi)))
+    for g_s, norm in c.simple:
+        quotient, remainder = divmod(2 * _dot(v, g_s), norm)
+        if remainder or quotient < 0:
             return False
-    M = level_M(lvl)
-    return all(pair(w, coroot) <= m for coroot, m in zip(c.theta_coroots, M))
+    p, q = lvl.k.numerator, lvl.k.denominator
+    return all(Fraction(2 * (_dot(v, g_t) * q - p * c.E), q * norm) <= chi
+               for g_t, norm, chi in zip(c.g_theta_i, c.theta_i_norms, lvl.alg.chi))
 
 
 def first_failure(failures: Iterable[tuple[DominantWeight, Optional[Fraction]]]) -> bool | str:
@@ -677,8 +758,8 @@ def cross_identity_report(lvl: Level) -> Report:
             expected=True,
             computed=first_failure(
                 (nu, None) for nu in cone if not extremal[nu]
-                and not all((m + c - v).denominator == 1 and m + c - v >= 0
-                            for v, m, c in zip(theta_values(lvl, nu), M, alg.chi))))
+                and not all((m - v).denominator == 1 and m >= v
+                            for v, m in zip(theta_values(lvl, nu), lvl._margins))))
 
     vacuum = WModuleLabel(DominantWeight(alg.id, (0,) * alg.rank_natural), Fraction(0))
     rep.add("classify.vacuum-exists", algebra=name, k=k,
@@ -687,7 +768,7 @@ def cross_identity_report(lvl: Level) -> Report:
 
     # a free one-parameter family exists whenever no margin M_i + chi_i is
     # negative (the boundary levels where one is are the collapsing ones)
-    if all(m + c >= 0 for m, c in zip(M, alg.chi)):
+    if all(m >= 0 for m in lvl._margins):
         rep.add("classify.free-family", algebra=name, k=k,
                 formula="some non-extremal nu carries a free ell0 family",
                 expected=True,

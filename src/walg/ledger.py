@@ -9,7 +9,7 @@ so golden reports diff cleanly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .affine import AffineWeight, affine_coroot_pair, affine_pair, finite_part
 from .catalog import coroot_pair
@@ -65,6 +65,9 @@ def check_singular_weights(lvl: Level) -> Report:
 
 
 def _h_samples(lvl: Level):
+    # h drops out of the integrability step for the catalog, where
+    # (theta_hat|eta_i) = 0, so the second sample repeats the first;
+    # test_eta_pairings_keep_the_h_term is what exercises the h term
     return (Fraction(0), lvl.k - Fraction(1, 3))
 
 
@@ -72,11 +75,15 @@ def _eta_pairings(lvl: Level, nu: DominantWeight, h) -> tuple[Fraction, ...]:
     """(nu_hat|eta_i) per summand, with nu_hat = h theta + w + k Lambda_0 and
     eta_i = delta - theta_i.  By bilinearity this is
     (w_hat + k Lambda_0|eta_i) + h (theta_hat|eta_i), and since
-    (Lambda_0|delta) = 1 the first term is k - (w|theta_i); both pairings
-    are cached, on nu and per algebra."""
-    theta_eta = _ambient_constants(nu.algebra).theta_eta
-    return tuple(lvl.k - w_t + h * t_eta
-                 for w_t, t_eta in zip(nu.theta_i_pairs, theta_eta))
+    (Lambda_0|delta) = 1 the first term is k - (w|theta_i).  With k = p/q,
+    h = r/s and the integers T_i = E (w|theta_i) and t_i = E (theta_hat|eta_i)
+    of the oracle (see classify._Ambient), it is
+    (E p s - q s T_i + q r t_i) / (E q s)."""
+    c = _ambient_constants(nu.algebra)
+    p, q = lvl.k.numerator, lvl.k.denominator
+    r, s = h.numerator, h.denominator
+    return tuple(Fraction(c.E * p * s - q * s * w_t + q * r * t_eta, c.E * q * s)
+                 for w_t, t_eta in zip(nu._theta_i, c.theta_eta))
 
 
 def check_affine_pairings(lvl: Level) -> Report:
@@ -126,18 +133,31 @@ def check_affine_pairings(lvl: Level) -> Report:
                     expected=(M[0] + 1) / 2,
                     computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
 
-    # constants per summand; the nu_hat pairing is the only per-weight part
-    shifts = [(affine_pair(alpha1, eta), affine_pair(alpha0, eta),
-               affine_pair(eta, eta)) for eta in etas]
+    # The step pairs nu_h - alpha_1 [- alpha_0] with the eta_i-coroot.  The
+    # pairing (nu_hat|eta_i) is the vacuum's, b_i = (h theta_hat + k
+    # Lambda_0|eta_i), less T_i / E with T_i = E (w|theta_i), so with
+    # c_i = (alpha_1 [+ alpha_0]|eta_i) and n_i = (eta_i|eta_i) the step
+    # reads v_i = K + lam_i T_i, where v_i = nu(theta_i-coroot),
+    # K = M_i - 2 (b_i - c_i) / n_i and lam_i = 2 / (E n_i).  Over a common
+    # denominator d_i of lam_i and the K of summand i, and with v_i = a/b,
+    # each (nu, h, i) is the integer test a d_i = (K d_i + lam_i d_i T_i) b.
+    vacuum = DominantWeight(alg.id, (0,) * alg.rank_natural)
+    offsets = [_eta_pairings(lvl, vacuum, h) for h in _h_samples(lvl)]
+    cleared = []
+    for i, eta in enumerate(etas):
+        c1, c0, norm = affine_pair(alpha1, eta), affine_pair(alpha0, eta), affine_pair(eta, eta)
+        lam = 2 / (_ambient_constants(alg.id).E * norm)
+        Ks = [[M[i] - 2 * (b[i] - c) / norm for c in (c1 + c0, c1)] for b in offsets]
+        d = lcm(lam.denominator, *(K.denominator for row in Ks for K in row))
+        cleared.append((d, int(lam * d), [[int(K * d) for K in row] for row in Ks]))
 
     def step_failures():
         for nu in enumerate_Pk(lvl):
-            vals = theta_values(lvl, nu)
-            for h in _h_samples(lvl):
-                for i, base in enumerate(_eta_pairings(lvl, nu, h)):
-                    c1, c0, norm = shifts[i]
-                    want = M[i] - vals[i]
-                    if 2 * (base - c1 - c0) / norm != want or 2 * (base - c1) / norm != want:
+            terms = [(v.numerator * d, v.denominator, lam * t, Ks) for v, t, (d, lam, Ks)
+                     in zip(theta_values(lvl, nu), nu._theta_i, cleared)]
+            for j, h in enumerate(_h_samples(lvl)):
+                for a_d, b, lam_t, Ks in terms:
+                    if any(a_d != (K + lam_t) * b for K in Ks[j]):
                         yield nu, h
 
     rep.add("affine.integrability-step", algebra=name, k=k,

@@ -455,7 +455,8 @@ def direct_ell0(lvl, nu, h):
     h = rational(h)
     alg = lvl.alg
     nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
-    return (affine_pair(nu_hat, nu_hat + classify._ambient_constants(alg.id).two_rho_hat)
+    two_rho_hat = 2 * AffineWeight(alg.rho, alg.h_check, 0)
+    return (affine_pair(nu_hat, nu_hat + two_rho_hat)
             / (2 * (lvl.k + alg.h_check)) - h)
 
 
@@ -547,3 +548,154 @@ def test_eta_pairings_keep_the_h_term(monkeypatch, name):
                 nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
                 assert ledger._eta_pairings(lvl, nu, h) == tuple(
                     affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
+
+
+# --- the integer oracle against the Fraction forms it replaced ----------------
+
+def fraction_nu_plus_xi_in_Pk(lvl, nu):
+    """The Fraction form of classify._nu_plus_xi_in_Pk that the integer one
+    replaced, verbatim but for the coroots, which it builds itself."""
+    alg = lvl.alg
+    simple_coroots = tuple(2 / pair(s.weight, s.weight) * s.weight for s in alg.natural_simple)
+    theta_coroots = tuple(2 / pair(t, t) * t for t in alg.theta_i)
+    w = nu.weight() + lvl.alg.xi
+    for coroot in simple_coroots:
+        v = pair(w, coroot)
+        if v.denominator != 1 or v < 0:
+            return False
+    M = level_M(lvl)
+    return all(pair(w, coroot) <= m for coroot, m in zip(theta_coroots, M))
+
+
+def fraction_extremal(lvl, nu):
+    """The Fraction comparison of classify._extremal that the integer one
+    replaced: None outside the truncated cone, else whether nu is extremal."""
+    vals = theta_values(lvl, nu)
+    if any(v > m for v, m in zip(vals, lvl.M)):
+        return None
+    return any(v > m + c for v, m, c in zip(vals, lvl.M, lvl.alg.chi))
+
+
+ORACLE_ALGEBRAS = SELFCHECK_ALGEBRAS + ("spo2-16", "spo2-9", "d21-7-4")
+
+# h with large or negative denominators, as well as the cone_labels draws
+WIDE_H = st.builds(F, st.integers(-10**15, 10**15),
+                   st.integers(-10**15, 10**15).filter(lambda d: d != 0))
+
+
+@st.composite
+def oracle_labels(draw):
+    """As cone_labels, over three more algebras, with a weight inside or
+    outside the cone and an h from a wider range."""
+    aid = AlgebraId.parse(draw(st.sampled_from(ORACLE_ALGEBRAS)))
+    lvl = level(aid, draw(st.sampled_from(standard_levels(aid, 4))))
+    cone = enumerate_Pk(lvl)
+    rank = lvl.alg.rank_natural
+    nu = draw(st.one_of(
+        st.integers(0, len(cone) - 1).map(cone.__getitem__),
+        st.lists(st.integers(0, 9), min_size=rank, max_size=rank).map(
+            lambda c: DominantWeight(aid, tuple(c)))))
+    h = draw(st.one_of(st.fractions(max_denominator=12), WIDE_H,
+                       st.just(lvl.k / 2), st.just(lvl.k + 1)))
+    return lvl, nu, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_labels())
+def test_integer_pairings_match_fraction_references(label):
+    lvl, nu, h = label
+    alg = lvl.alg
+    w = nu.weight()
+    assert nu.norm == pair(w, w + 2 * alg.rho)
+    assert nu.theta_pair == pair(alg.theta, w)
+    assert nu.xi_pair == pair(alg.xi, w)
+    assert nu.theta_i_pairs == tuple(pair(w, t) for t in alg.theta_i)
+    assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
+    nu_hat = AffineWeight(h * alg.theta + w, lvl.k, 0)
+    assert ledger._eta_pairings(lvl, nu, h) == tuple(
+        affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
+    assert classify._nu_plus_xi_in_Pk(lvl, nu) is fraction_nu_plus_xi_in_Pk(lvl, nu)
+
+
+# levels off the unitarity range, where M_i(k) and M_i(k) + chi_i are
+# non-integer or negative
+OFF_RANGE_K = (F(-7, 3), F(-22, 5), F(-61, 7), F(-13, 9), F(1, 3), F(5, 7), F(-1, 9))
+
+
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_integer_level_bounds_off_the_range(name):
+    aid = AlgebraId.parse(name)
+    rank = catalog.build_algebra(aid).rank_natural
+    inside = 0
+    for k in OFF_RANGE_K:
+        lvl = level(aid, k)
+        bounds = (*lvl.M, *(m + c for m, c in zip(lvl.M, lvl.alg.chi)))
+        assert any(b.denominator != 1 or b < 0 for b in bounds), (name, k)
+        for coeffs in product(range(5), repeat=rank):
+            nu = DominantWeight(aid, coeffs)
+            want = fraction_extremal(lvl, nu)
+            assert in_truncated_cone(lvl, nu) is (want is not None), (name, k, coeffs)
+            if want is None:
+                with pytest.raises(RangeError):
+                    is_extremal(lvl, nu)
+            else:
+                inside += 1
+                assert is_extremal(lvl, nu) is want, (name, k, coeffs)
+    assert inside
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_oracle_never_reads_the_basis(monkeypatch, name):
+    """The ambient oracle stays independent of the integer basis path: with
+    classify._basis raising, it still answers on fresh weights and levels."""
+    def no_basis(aid):
+        raise AssertionError("the oracle read classify._basis")
+
+    _clear_walg_caches()
+    monkeypatch.setattr(classify, "_basis", no_basis)
+    aid = AlgebraId.parse(name)
+    alg = catalog.build_algebra(aid)
+    with pytest.raises(AssertionError):  # the basis path does read it
+        theta_values(level(aid, -1), DominantWeight(aid, (0,) * alg.rank_natural))
+    rank = alg.rank_natural
+    weights = list(product(range(3), repeat=rank)) if rank <= 3 else [
+        (0,) * rank, (1,) * rank,
+        *(tuple(m * (a == b) for b in range(rank)) for a in range(rank) for m in (1, 2))]
+    dual = {}
+    for k in standard_levels(aid, 2):
+        lvl = level(aid, k)
+        for coeffs in weights:
+            nu = DominantWeight(aid, coeffs)
+            w = nu.weight()
+            assert nu.norm == pair(w, w + 2 * alg.rho)
+            assert nu.theta_pair == pair(alg.theta, w)
+            assert nu.xi_pair == pair(alg.xi, w)
+            assert nu.theta_i_pairs == tuple(pair(w, t) for t in alg.theta_i)
+            assert extremal_h_set(lvl, nu) == {nu.xi_pair, k + 1 - nu.xi_pair}
+            for h in (F(0), F(1, 3), k / 2):
+                assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
+                nu_hat = AffineWeight(h * alg.theta + w, k, 0)
+                assert ledger._eta_pairings(lvl, nu, h) == tuple(
+                    affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
+            dual[lvl, nu] = classify._nu_plus_xi_in_Pk(lvl, nu)
+    monkeypatch.undo()
+    _clear_walg_caches()
+    for (lvl, nu), answer in dual.items():
+        assert answer is fraction_nu_plus_xi_in_Pk(lvl, nu), (name, lvl.k, nu.coeffs)
+
+
+@pytest.mark.parametrize("shift", [
+    lambda alg: F(1, 5) * alg.natural_simple[0].weight,
+    lambda alg: -2 * alg.natural_simple[-1].weight,
+    lambda alg: F(3, 2) * alg.theta_i[0],
+], ids=["+alpha_nat_1/5", "-2 alpha_nat_last", "+3/2 theta_1"])
+def test_dual_cone_test_matches_on_a_shifted_xi(monkeypatch, shift):
+    """w + xi is dominant integral for every catalog weight, so the simple
+    coroot test of _nu_plus_xi_in_Pk is exercised with xi shifted off the
+    lattice, off the dominant chamber and past the levels."""
+    with mutated_algebras(monkeypatch, "xi", shift):
+        for name in MUTATION_LEVELS:
+            lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
+            for nu in enumerate_Pk(lvl):
+                assert classify._nu_plus_xi_in_Pk(lvl, nu) is \
+                    fraction_nu_plus_xi_in_Pk(lvl, nu), (name, nu.coeffs)

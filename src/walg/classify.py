@@ -126,6 +126,10 @@ class Level:
         return tuple(map(floor, self.M)), tuple(map(floor, self._margins))
 
     @cached_property
+    def _comarks(self) -> tuple[tuple[int, ...], ...]:  # C[i][a], see _Basis
+        return _basis(self.alg.id).comarks
+
+    @cached_property
     def cone(self) -> tuple[DominantWeight, ...]:
         """The truncated cone P_k, in lexicographic coefficient order.
 
@@ -296,14 +300,14 @@ def _basis(aid: AlgebraId) -> _Basis:
 def _label_algebra(lvl: Level, nu: DominantWeight) -> AlgebraId:
     """The level's algebra, once nu is known to belong to it."""
     aid = lvl.alg.id
-    if nu.algebra != aid:
+    if nu.algebra is not aid and nu.algebra != aid:
         raise AlgebraMismatchError(f"a {nu.algebra} weight at a {aid} level")
     return aid
 
 
 def _theta_ints(lvl: Level, nu: DominantWeight) -> tuple[int, ...]:
-    comarks = _basis(_label_algebra(lvl, nu)).comarks
-    return tuple(_dot(nu.coeffs, row) for row in comarks)
+    _label_algebra(lvl, nu)
+    return tuple(_dot(nu.coeffs, row) for row in lvl._comarks)
 
 
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
@@ -436,6 +440,17 @@ def _ambient_constants(aid: AlgebraId) -> _Ambient:
                         for t in alg.theta_i))
 
 
+def _ell0_coeffs(lvl: Level, nu: DominantWeight) -> tuple[int, int, int, int]:
+    """ell0 as one integer quadratic in h, (c0 + c1 h + c2 h^2) / den (see
+    ell0).  With k = p/q, h_check = a/b, qb = q b and d = p b + a q, these
+    are c0 = qb P, c1 = qb (2 T + R) - 2 E d, c2 = qb N and den = 2 E d."""
+    c = _ambient_constants(_label_algebra(lvl, nu))
+    (p, q), (a, b) = lvl.k.as_integer_ratio(), lvl.alg.h_check.as_integer_ratio()
+    qb, d = q * b, p * b + a * q
+    return (qb * nu._norm, qb * (2 * nu._theta + c.theta_two_rho) - 2 * c.E * d,
+            qb * c.theta_theta, 2 * c.E * d)
+
+
 def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
     """Conformal weight of the reduced label,
 
@@ -445,26 +460,21 @@ def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
     Lambda_0.  The Lambda_0 parts pair to 0, so by bilinearity the pairing
     is (P + h (2 T + R + h N)) / E with the integers P = E (w|w + 2 rho) and
     T = E (theta|w) of the weight, and R = E (theta|2 rho) and
-    N = E (theta|theta) of the algebra (see _Ambient).  With k = p/q,
-    h = r/s and h_check = a/b, and d = p b + a q, this is
-
-        (q b (P s^2 + r s (2 T + R) + r^2 N) - 2 E r s d) / (2 E s^2 d).
+    N = E (theta|theta) of the algebra (see _Ambient).  So ell0 is the
+    integer quadratic (c0 + c1 h + c2 h^2) / den of _ell0_coeffs, and at
+    h = r/s it is (c0 s^2 + r (c1 s + c2 r)) / (den s^2).
     """
-    h = rational(h)
-    c = _ambient_constants(_label_algebra(lvl, nu))
-    p, q = lvl.k.numerator, lvl.k.denominator
-    r, s = h.numerator, h.denominator
-    a, b = lvl.alg.h_check.numerator, lvl.alg.h_check.denominator
-    d = p * b + a * q
-    pairing = nu._norm * s * s + r * (s * (2 * nu._theta + c.theta_two_rho) + r * c.theta_theta)
-    return Fraction(q * b * pairing - 2 * c.E * r * s * d, 2 * c.E * s * s * d)
+    r, s = rational(h).as_integer_ratio()
+    c0, c1, c2, den = _ell0_coeffs(lvl, nu)
+    return Fraction(c0 * s * s + r * (c1 * s + c2 * r), den * s * s)
 
 
 def extremal_h_set(lvl: Level, nu: DominantWeight) -> frozenset[Fraction]:
     """{(xi|nu), k + 1 - (xi|nu)}; a singleton when the two coincide."""
     _label_algebra(lvl, nu)
-    x = nu.xi_pair
-    return frozenset((x, lvl.k + 1 - x))
+    x, (p, q) = nu.xi_pair, lvl.k.as_integer_ratio()
+    n, y = x.as_integer_ratio()
+    return frozenset((x, Fraction((p + q) * y - q * n, q * y)))  # k + 1 - x
 
 
 @dataclass(frozen=True)
@@ -543,10 +553,17 @@ def hamiltonian_reduce(lvl: Level, label: AffineModuleLabel) -> Optional[WModule
     _require_range(lvl)
     if not in_truncated_cone(lvl, label.nu):
         raise RangeError("reduction is only defined inside the truncated cone")
-    gap = lvl.k - 2 * label.h
-    if gap.denominator == 1 and gap >= 0:
+    if _reduction_vanishes(lvl.k, label.h):
         return None
     return WModuleLabel(label.nu, ell0(lvl, label.nu, label.h))
+
+
+def _reduction_vanishes(k: Fraction, h: Fraction) -> bool:
+    """Is k - 2h a nonnegative integer, i.e. p s - 2 r q = q s (k - 2h) for
+    k = p/q and h = r/s a nonnegative multiple of q s?"""
+    (p, q), (r, s) = k.as_integer_ratio(), h.as_integer_ratio()
+    gap = p * s - 2 * r * q
+    return gap >= 0 and gap % (q * s) == 0
 
 
 def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
@@ -664,6 +681,17 @@ def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
                for g_t, norm, chi in zip(c.g_theta_i, c.theta_i_norms, lvl.alg.chi))
 
 
+def _threshold_identity(lvl: Level, nu: DominantWeight, threshold: Fraction) -> bool:
+    """(w|w + 2 rho)/2 - A (k + h_check) = (xi|nu)(k + 1 - (xi|nu)) at A = An/Ad,
+    times 2 E y^2 q b Ad: with P and d as in _ell0_coeffs and (xi|nu) = x/y,
+    y^2 (P q b Ad - 2 E d An) = 2 E b Ad x ((p + q) y - q x)."""
+    E = _ambient_constants(lvl.alg.id).E
+    (p, q), (a, b) = lvl.k.as_integer_ratio(), lvl.alg.h_check.as_integer_ratio()
+    (An, Ad), (x, y) = threshold.as_integer_ratio(), nu.xi_pair.as_integer_ratio()
+    return (y * y * (nu._norm * q * b * Ad - 2 * E * (p * b + a * q) * An)
+            == 2 * E * b * Ad * x * ((p + q) * y - q * x))
+
+
 def first_failure(failures: Iterable[tuple[DominantWeight, Optional[Fraction]]]) -> bool | str:
     """The `computed` value of a check over a grid of labels: True when
     `failures` yields no (nu, h), else where the first one failed, as
@@ -683,6 +711,8 @@ def cross_identity_report(lvl: Level) -> Report:
     polynomial-coefficient identity plus direct evaluation); reduction of any
     admissible affine label either vanishes or lands on an existing W-label;
     the closed-form levels match; and the vacuum W-label always exists.
+    Each (nu, h) comparison is cleared to integers: see _ell0_coeffs,
+    _threshold_identity and _reduction_vanishes.
     """
     rep = Report()
     name = lvl.name
@@ -708,12 +738,23 @@ def cross_identity_report(lvl: Level) -> Report:
             computed=first_failure((nu, None) for nu in cone
                                    if extremal[nu] == _nu_plus_xi_in_Pk(lvl, nu)))
 
-    h_samples = (Fraction(0), Fraction(1), Fraction(-1, 2), k, k + 1)
+    # ell0(r/s) = n(r, s) / (den s^2) with n(r, s) = c0 s^2 + r (c1 s + c2 r),
+    # so ell0(h) = ell0(k + 1 - h) for k + 1 - h = r'/s' reads
+    # n(r, s) s'^2 = n(r', s') s^2
+    mirrored = [(h, *h.as_integer_ratio(), *(k + 1 - h).as_integer_ratio())
+                for h in (Fraction(0), Fraction(1), Fraction(-1, 2), k, k + 1)]
+
+    def symmetry_failures():
+        for nu in cone:
+            c0, c1, c2, _ = _ell0_coeffs(lvl, nu)
+            for h, r, s, r2, s2 in mirrored:
+                if (c0 * s * s + r * (c1 * s + c2 * r)) * s2 * s2 != \
+                        (c0 * s2 * s2 + r2 * (c1 * s2 + c2 * r2)) * s * s:
+                    yield nu, h
+
     rep.add("classify.ell0-symmetry", algebra=name, k=k,
             formula="ell0(h) = ell0(k + 1 - h)",
-            expected=True,
-            computed=first_failure((nu, h) for nu in cone for h in h_samples
-                                   if ell0(lvl, nu, h) != ell0(lvl, nu, k + 1 - h)))
+            expected=True, computed=first_failure(symmetry_failures()))
 
     # ell0(h) - A is a quadratic in h with leading coefficient 1/(k + h_check)
     # and root set {(xi|nu), k+1-(xi|nu)}; matching the constant coefficient
@@ -722,10 +763,8 @@ def cross_identity_report(lvl: Level) -> Report:
     # check is the oracle of the basis form of A.
     def threshold_failures():
         for nu in cone:
-            xi_nu = nu.xi_pair
             threshold = A_value(lvl, nu)
-            lhs = nu.norm / 2 - threshold * (k + alg.h_check)
-            if lhs != xi_nu * (k + 1 - xi_nu):
+            if not _threshold_identity(lvl, nu, threshold):
                 yield nu, None
             for h in extremal_h_set(lvl, nu):
                 if ell0(lvl, nu, h) != threshold:
@@ -735,12 +774,14 @@ def cross_identity_report(lvl: Level) -> Report:
             formula="ell0(h) = A(k, nu) exactly for h in {(xi|nu), k+1-(xi|nu)}",
             expected=True, computed=first_failure(threshold_failures()))
 
+    fixed_hs = frozenset((Fraction(0), Fraction(-1, 2), k + 1))
+
     def reduce_failures():
         for nu in cone:
             if extremal[nu]:
                 hs = sorted(extremal_h_set(lvl, nu))
             else:
-                hs = sorted({Fraction(0), Fraction(-1, 2), k + 1, nu.xi_pair})
+                hs = sorted(fixed_hs | {nu.xi_pair})
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):

@@ -142,7 +142,8 @@ def check_affine_pairings(lvl: Level) -> Report:
     # denominator d_i of lam_i and the K of summand i, and with v_i = a/b,
     # each (nu, h, i) is the integer test a d_i = (K d_i + lam_i d_i T_i) b.
     vacuum = DominantWeight(alg.id, (0,) * alg.rank_natural)
-    offsets = [_eta_pairings(lvl, vacuum, h) for h in _h_samples(lvl)]
+    samples = _h_samples(lvl)
+    offsets = [_eta_pairings(lvl, vacuum, h) for h in samples]
     cleared = []
     for i, eta in enumerate(etas):
         c1, c0, norm = affine_pair(alpha1, eta), affine_pair(alpha0, eta), affine_pair(eta, eta)
@@ -155,7 +156,7 @@ def check_affine_pairings(lvl: Level) -> Report:
         for nu in enumerate_Pk(lvl):
             terms = [(v.numerator * d, v.denominator, lam * t, Ks) for v, t, (d, lam, Ks)
                      in zip(theta_values(lvl, nu), nu._theta_i, cleared)]
-            for j, h in enumerate(_h_samples(lvl)):
+            for j, h in enumerate(samples):
                 for a_d, b, lam_t, Ks in terms:
                     if any(a_d != (K + lam_t) * b for K in Ks[j]):
                         yield nu, h

@@ -1,13 +1,14 @@
 import contextlib
 import dataclasses
+import hashlib
 import sys
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from walg import affine, catalog, classify, ledger
+from walg import affine, catalog, classify, cli, ledger
 from walg.affine import AffineWeight, affine_pair
 from walg.catalog import AlgebraId, AlgebraMismatchError, coroot_pair, pair
 from walg.classify import (AffineModuleLabel, CriticalLevelError,
@@ -699,3 +700,147 @@ def test_dual_cone_test_matches_on_a_shifted_xi(monkeypatch, shift):
             for nu in enumerate_Pk(lvl):
                 assert classify._nu_plus_xi_in_Pk(lvl, nu) is \
                     fraction_nu_plus_xi_in_Pk(lvl, nu), (name, nu.coeffs)
+
+
+# --- the integer cross-identities against the Fraction forms they replaced ----
+
+def fraction_threshold_identity(lvl, nu, threshold):
+    """The Fraction form of the coefficient identity of
+    classify.threshold-roots that _threshold_identity replaced, verbatim."""
+    k, alg = lvl.k, lvl.alg
+    xi_nu = nu.xi_pair
+    lhs = nu.norm / 2 - threshold * (k + alg.h_check)
+    return lhs == xi_nu * (k + 1 - xi_nu)
+
+
+def fraction_reduction_vanishes(k, h):
+    """The Fraction gap test of hamiltonian_reduce that _reduction_vanishes
+    replaced, verbatim."""
+    gap = k - 2 * h
+    return gap.denominator == 1 and gap >= 0
+
+
+def fraction_extremal_h_set(lvl, nu):
+    """The Fraction form of extremal_h_set, verbatim."""
+    x = nu.xi_pair
+    return frozenset((x, lvl.k + 1 - x))
+
+
+@st.composite
+def cross_identity_labels(draw):
+    """An oracle_labels draw, at its standard level or at one off the range."""
+    lvl, nu, h = draw(oracle_labels())
+    k = draw(st.sampled_from((lvl.k, *OFF_RANGE_K)))
+    assume(k != -lvl.alg.h_check)
+    return classify.Level(lvl.alg, k), nu, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(cross_identity_labels())
+def test_integer_cross_identities_match_fraction_references(label):
+    lvl, nu, h = label
+    k = lvl.k
+    c0, c1, c2, den = classify._ell0_coeffs(lvl, nu)
+    assert F(c0 + c1 * h + c2 * h * h) / den == direct_ell0(lvl, nu, h)
+    true_A = A_value(lvl, nu)
+    assert classify._threshold_identity(lvl, nu, true_A) is True
+    for threshold in (true_A, true_A + 1, true_A + h):
+        assert classify._threshold_identity(lvl, nu, threshold) is \
+            fraction_threshold_identity(lvl, nu, threshold), threshold
+    assert extremal_h_set(lvl, nu) == fraction_extremal_h_set(lvl, nu)
+    defined = lvl.in_range and in_truncated_cone(lvl, nu)
+    for g in (h, k / 2, (k - 3) / 2, (k + 1) / 2, k + 1 - h):
+        vanishes = fraction_reduction_vanishes(k, g)
+        assert classify._reduction_vanishes(k, g) is vanishes, g
+        if defined:
+            assert (hamiltonian_reduce(lvl, AffineModuleLabel(nu, g)) is None) is vanishes
+
+
+# The grid of `selfcheck --all` under three mutations of the algebra data,
+# frozen at the commit before the cross-identities ran on integers: the
+# failing checks by id, and a SHA-256 digest of the "check_id algebra k=..
+# computed" lines of the classify.* failures, in report order.  A widening
+# of the grid changes these figures and must refreeze them.
+ZHU_THRESHOLDS = {**{f"zhu.threshold[j={j}]": 3 for j in range(1, 10)},
+                  "zhu.threshold[j=10]": 2}
+GRID_MUTATIONS = {
+    "gram[0][0]+1": (197, {
+        "classify.reduce-descends": 74, "classify.threshold-roots": 74,
+        "zhu.module-list": 20, **ZHU_THRESHOLDS},
+        "6238d775a5fe42a409e1da00edec6f67205b449b11060a7833fd162252edfd0d"),
+    "rho+theta/7": (235, {
+        "catalog.dual-coxeter": 13, "classify.ell0-symmetry": 74,
+        "classify.reduce-descends": 74, "classify.threshold-roots": 74},
+        "e1d38605e168747b3a6e8da2def291a8ad56c86b141edfbb52f8502bbd5b611e"),
+    "xi+alpha_nat_1/5": (180, {
+        "affine.xi-restriction[1]": 30, "catalog.chi-values": 7,
+        "catalog.xi-dominant": 13, "classify.extremal-dual": 71,
+        "ideal.spo23-generator-weight": 10, "zhu.module-list": 20, **ZHU_THRESHOLDS},
+        "e5dca6d154f4cd80792473786cfb762767f9fbe43952866f93c3746b20fbe42a"),
+}
+
+
+@contextlib.contextmanager
+def mutated_gram(monkeypatch):
+    """classify._basis with gram[0][0] raised by 1, the basis data the
+    oracle must catch; every walg cache is cleared on entry and on exit."""
+    true_basis = classify._basis
+
+    def mutated(aid):
+        basis = true_basis(aid)
+        gram = [list(row) for row in basis.gram]
+        gram[0][0] += 1
+        return basis._replace(gram=tuple(map(tuple, gram)))
+
+    monkeypatch.setattr(classify, "_basis", mutated)
+    _clear_walg_caches()
+    try:
+        yield
+    finally:
+        _clear_walg_caches()
+
+
+@pytest.mark.parametrize("mutation", list(GRID_MUTATIONS))
+def test_oracle_mutations_fail_the_full_grid(monkeypatch, mutation):
+    if mutation == "gram[0][0]+1":
+        mutated = mutated_gram(monkeypatch)
+    elif mutation == "rho+theta/7":
+        mutated = mutated_algebras(monkeypatch, "rho", lambda alg: F(1, 7) * alg.theta)
+    else:
+        mutated = mutated_algebras(monkeypatch, "xi",
+                                   lambda alg: F(1, 5) * alg.natural_simple[0].weight)
+    with mutated:
+        failures = cli._selfcheck_report(True).failures()
+    total, counts, digest = GRID_MUTATIONS[mutation]
+    assert len(failures) == total
+    by_id = {}
+    for e in failures:
+        by_id[e.check_id] = by_id.get(e.check_id, 0) + 1
+    assert by_id == counts
+    sites = [f"{e.check_id} {e.algebra} k={e.k} {e.computed}"
+             for e in failures if e.check_id.startswith("classify.")]
+    assert hashlib.sha256("\n".join(sites).encode()).hexdigest() == digest, sites[:8]
+
+
+REACHED = ("ell0", "A_value", "is_extremal", "extremal_h_set",
+           "affine_module_descends", "hamiltonian_reduce", "w_module_exists")
+
+
+def test_mutation_levels_cover_the_family_table():
+    rows = {id(AlgebraId.parse(name).spec) for name in MUTATION_LEVELS}
+    assert rows == {id(spec) for spec in catalog.FAMILY_TABLE}
+
+
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_cross_identities_reach_the_public_predicates(monkeypatch, name):
+    """cross_identity_report goes through the classify module globals that
+    the benchmark tracer wraps and that tests patch (A_value above)."""
+    calls = dict.fromkeys(REACHED, 0)
+    for fn in REACHED:
+        def counted(*args, _fn=fn, _true=getattr(classify, fn)):
+            calls[_fn] += 1
+            return _true(*args)
+        monkeypatch.setattr(classify, fn, counted)
+    lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
+    assert cross_identity_report(lvl).all_pass
+    assert all(calls.values()), calls

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor, lcm
-from operator import mul
+from operator import gt, mul
 from typing import Iterable, NamedTuple, Optional
 
 from .affine import AffineWeight, affine_pair
@@ -126,8 +126,21 @@ class Level:
         return tuple(map(floor, self.M)), tuple(map(floor, self._margins))
 
     @cached_property
-    def _comarks(self) -> tuple[tuple[int, ...], ...]:  # C[i][a], see _Basis
-        return _basis(self.alg.id).comarks
+    def _levels_integral(self) -> bool:  # every M_i(k) a nonnegative integer
+        return all(m.denominator == 1 and m >= 0 for m in self.M)
+
+    @cached_property
+    def _margins_integral(self) -> bool:  # every M_i(k) + chi_i likewise
+        return all(m.denominator == 1 and m >= 0 for m in self._margins)
+
+    @cached_property
+    def _A_consts(self) -> tuple[int, int, int, int]:
+        # A = (u Q + X (v X - w)) / den for the integers Q and X of a weight
+        # (see A_value): with k = p/q and h_check = a/b, u = q b D, v = 2 q b,
+        # w = 2 b D (p + q) and den = 2 D^2 (p b + a q)
+        D = _basis(self.alg.id).D
+        (p, q), (a, b) = self.k.as_integer_ratio(), self.alg.h_check.as_integer_ratio()
+        return q * b * D, 2 * q * b, 2 * b * D * (p + q), 2 * D * D * (p * b + a * q)
 
     @cached_property
     def cone(self) -> tuple[DominantWeight, ...]:
@@ -214,6 +227,19 @@ class DominantWeight:
         alg = build_algebra(self.algebra)
         return _weight_sum(alg.id, zip(self.coeffs, alg.natural_fundamental))
 
+    # The integers of the basis path: computed on first use from _Basis and
+    # kept on the instance; none depends on k.
+
+    @cached_property
+    def _comark_values(self) -> tuple[int, ...]:  # nu(theta_i-coroot) per summand
+        return tuple(_dot(self.coeffs, row) for row in _basis(self.algebra).comarks)
+
+    @cached_property
+    def _A_ints(self) -> tuple[int, int]:  # D (nu|nu + 2 rho_nat), D (xi|nu)
+        basis, c = _basis(self.algebra), self.coeffs
+        Q = sum(ca * (r + _dot(row, c)) for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
+        return Q, _dot(basis.xi, c)
+
     # The ambient pairings of w = weight() that the oracle reads, on the
     # integers of _Ambient: L w, then E times each pairing.  Each is computed
     # on first use and kept on the instance; none depends on k.
@@ -236,22 +262,10 @@ class DominantWeight:
     def _theta_i(self) -> tuple[int, ...]:  # E (w|theta_i) per summand
         return tuple(_dot(self._scaled, t) for t in _ambient_constants(self.algebra).g_theta_i)
 
-    @property
-    def norm(self) -> Fraction:  # (w|w + 2 rho)
-        return Fraction(self._norm, _ambient_constants(self.algebra).E)
-
-    @property
-    def theta_pair(self) -> Fraction:  # (theta|w)
-        return Fraction(self._theta, _ambient_constants(self.algebra).E)
-
     @cached_property
     def xi_pair(self) -> Fraction:  # (xi|w)
         c = _ambient_constants(self.algebra)
         return Fraction(_dot(self._scaled, c.g_xi), c.E)
-
-    @property
-    def theta_i_pairs(self) -> tuple[Fraction, ...]:  # (w|theta_i) per summand
-        return tuple(Fraction(t, _ambient_constants(self.algebra).E) for t in self._theta_i)
 
     @property
     def is_zero(self) -> bool:
@@ -307,7 +321,7 @@ def _label_algebra(lvl: Level, nu: DominantWeight) -> AlgebraId:
 
 def _theta_ints(lvl: Level, nu: DominantWeight) -> tuple[int, ...]:
     _label_algebra(lvl, nu)
-    return tuple(_dot(nu.coeffs, row) for row in lvl._comarks)
+    return nu._comark_values
 
 
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
@@ -330,12 +344,14 @@ def enumerate_Pk(lvl: Level) -> tuple[DominantWeight, ...]:
 def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
     """Where nu sits against the levels: None outside the truncated cone
     (nu(theta_i-coroot) > M_i(k) for some summand i), else whether nu is
-    extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i)."""
+    extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i).  The comark
+    values come from the weight, the floors of M_i(k) and M_i(k) + chi_i
+    from the level."""
     vals = _theta_ints(lvl, nu)
     floors, margins = lvl._floors
-    if any(v > m for v, m in zip(vals, floors)):
+    if any(map(gt, vals, floors)):
         return None
-    return any(v > m for v, m in zip(vals, margins))
+    return any(map(gt, vals, margins))
 
 
 def in_truncated_cone(lvl: Level, nu: DominantWeight) -> bool:
@@ -363,17 +379,14 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
 
     With the integers Q = D (nu|nu + 2 rho_nat) and X = D (xi|nu) from the
     basis data, k = p/q and h_check = a/b, this is
-    (q (Q D + 2 X^2) - 2 X D (p + q)) b / (2 D^2 (p b + a q)).
+    (q (Q D + 2 X^2) - 2 X D (p + q)) b / (2 D^2 (p b + a q)).  Q and X
+    come from the weight (DominantWeight._A_ints), the k-dependent integers
+    from the level (Level._A_consts), so one call is one Fraction.
     """
-    basis = _basis(_label_algebra(lvl, nu))
-    c = nu.coeffs
-    Q = sum(ca * (r + _dot(row, c)) for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
-    X = _dot(basis.xi, c)
-    D = basis.D
-    p, q = lvl.k.numerator, lvl.k.denominator
-    a, b = lvl.alg.h_check.numerator, lvl.alg.h_check.denominator
-    return Fraction((q * (Q * D + 2 * X * X) - 2 * X * D * (p + q)) * b,
-                    2 * D * D * (p * b + a * q))
+    _label_algebra(lvl, nu)
+    Q, X = nu._A_ints
+    u, v, w, den = lvl._A_consts
+    return Fraction(u * Q + X * (v * X - w), den)
 
 
 def _dot(u, v) -> int:
@@ -576,13 +589,14 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     The vacuum label (0, 0) is unitary on the whole range (that is what the
     range asserts), and extremal labels at the threshold are settled only for
     psl2-2, spo2-3, and spo2-m at k = -1 (the row's proven_at_threshold);
-    the rest stay open.
+    the rest stay open.  Conditions 1a and the sufficient margin test are
+    flags of the level; 1b, extremality and A read the weight's comark
+    values and threshold integers (see _extremal and A_value).
     """
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
     _require_range(lvl)
-    M = level_M(lvl)
-    if any(m.denominator != 1 or m < 0 for m in M):
+    if not lvl._levels_integral:
         return not_unitary("1a")
     extremal = _extremal(lvl, label.nu)
     if extremal is None:
@@ -593,9 +607,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        if all(m.denominator == 1 and m >= 0 for m in lvl._margins):
-            return UNITARY
-        return OPEN
+        return UNITARY if lvl._margins_integral else OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 

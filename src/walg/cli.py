@@ -126,7 +126,45 @@ def _parse_nu(alg, text: str) -> DominantWeight:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of json.dumps(payload, indent=2) + "\\n", the one writer of
+    every CLI document (see docs/schema.md).  With an indent, json.dumps
+    runs its pure-Python encoder; this writer joins strings, looks up str,
+    int, bool and None leaves by exact type, and leaves any other leaf (a
+    float, a subclass of str or int, or a refusal) to json.dumps itself."""
+    return _encode(payload, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_WORDS = {True: "true", False: "false", None: "null"}.__getitem__
+_LEAVES = {str: _escape, int: int.__repr__, bool: _WORDS, type(None): _WORDS}
+
+
+def _encode(value, newline: str) -> str:
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_escape(k if type(k) is str else _key(k)) + ": " + _encode(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)  # json's coercion: 1, 1.5, NaN, true, null
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _catalog_header(lvl: Level) -> dict:

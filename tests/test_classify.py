@@ -420,6 +420,43 @@ def test_labels_of_another_algebra_are_rejected():
             unitarity_verdict(lvl, WModuleLabel(nu, F(1, 2)))
 
 
+def _w_answers(lvl, nu):
+    threshold = A_value(lvl, nu)
+    return (threshold, is_extremal(lvl, nu),
+            str(unitarity_verdict(lvl, WModuleLabel(nu, threshold))),
+            str(unitarity_verdict(lvl, WModuleLabel(nu, threshold + 1))))
+
+
+@pytest.mark.parametrize("name, other", [("f4", "spo2-7"), ("d21-5-3", "d21-5-2")])
+def test_weight_facts_carry_no_level(name, other):
+    """A weight keeps integer facts of its own (comark values, the Q and X
+    of A) once classified; classifying the same instance at a second level
+    answers as fresh instances do, in either order.  A weight of another
+    algebra of the same rank still raises once its own facts are kept."""
+    aid = AlgebraId.parse(name)
+    low, high = (level(aid, k) for k in standard_levels(aid, 4)[1::2])
+    cone = enumerate_Pk(low)
+    assert set(cone) <= set(enumerate_Pk(high))
+    for first, second in ((low, high), (high, low)):
+        for coeffs in (nu.coeffs for nu in cone):
+            nu = DominantWeight(aid, coeffs)
+            for lvl in (first, second):
+                assert _w_answers(lvl, nu) == _w_answers(lvl, DominantWeight(aid, coeffs))
+            assert {"_comark_values", "_A_ints"} <= set(vars(nu))
+    assert any(is_extremal(low, nu) != is_extremal(high, nu) for nu in cone)
+
+    other_aid = AlgebraId.parse(other)
+    other_lvl = level(other_aid, standard_levels(other_aid, 2)[1])
+    for nu in enumerate_Pk(other_lvl):
+        _w_answers(other_lvl, nu)
+        assert len(nu.coeffs) == low.alg.rank_natural
+        for query in (theta_values, in_truncated_cone, is_extremal, A_value):
+            with pytest.raises(AlgebraMismatchError):
+                query(low, nu)
+        with pytest.raises(AlgebraMismatchError):
+            unitarity_verdict(low, WModuleLabel(nu, F(1, 2)))
+
+
 def test_failing_grid_checks_name_the_weight(monkeypatch):
     lvl = level("spo2-3", F(-1))
     assert cross_identity_report(lvl).all_pass
@@ -607,10 +644,11 @@ def test_integer_pairings_match_fraction_references(label):
     lvl, nu, h = label
     alg = lvl.alg
     w = nu.weight()
-    assert nu.norm == pair(w, w + 2 * alg.rho)
-    assert nu.theta_pair == pair(alg.theta, w)
+    E = classify._ambient_constants(alg.id).E
+    assert nu._norm == E * pair(w, w + 2 * alg.rho)
+    assert nu._theta == E * pair(alg.theta, w)
     assert nu.xi_pair == pair(alg.xi, w)
-    assert nu.theta_i_pairs == tuple(pair(w, t) for t in alg.theta_i)
+    assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
     assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
     nu_hat = AffineWeight(h * alg.theta + w, lvl.k, 0)
     assert ledger._eta_pairings(lvl, nu, h) == tuple(
@@ -659,6 +697,7 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
     with pytest.raises(AssertionError):  # the basis path does read it
         theta_values(level(aid, -1), DominantWeight(aid, (0,) * alg.rank_natural))
     rank = alg.rank_natural
+    E = classify._ambient_constants(aid).E
     weights = list(product(range(3), repeat=rank)) if rank <= 3 else [
         (0,) * rank, (1,) * rank,
         *(tuple(m * (a == b) for b in range(rank)) for a in range(rank) for m in (1, 2))]
@@ -668,10 +707,10 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
         for coeffs in weights:
             nu = DominantWeight(aid, coeffs)
             w = nu.weight()
-            assert nu.norm == pair(w, w + 2 * alg.rho)
-            assert nu.theta_pair == pair(alg.theta, w)
+            assert nu._norm == E * pair(w, w + 2 * alg.rho)
+            assert nu._theta == E * pair(alg.theta, w)
             assert nu.xi_pair == pair(alg.xi, w)
-            assert nu.theta_i_pairs == tuple(pair(w, t) for t in alg.theta_i)
+            assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
             assert extremal_h_set(lvl, nu) == {nu.xi_pair, k + 1 - nu.xi_pair}
             for h in (F(0), F(1, 3), k / 2):
                 assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
@@ -706,10 +745,11 @@ def test_dual_cone_test_matches_on_a_shifted_xi(monkeypatch, shift):
 
 def fraction_threshold_identity(lvl, nu, threshold):
     """The Fraction form of the coefficient identity of
-    classify.threshold-roots that _threshold_identity replaced, verbatim."""
+    classify.threshold-roots that _threshold_identity replaced, with
+    (w|w + 2 rho) paired directly."""
     k, alg = lvl.k, lvl.alg
-    xi_nu = nu.xi_pair
-    lhs = nu.norm / 2 - threshold * (k + alg.h_check)
+    xi_nu, w = nu.xi_pair, nu.weight()
+    lhs = pair(w, w + 2 * alg.rho) / 2 - threshold * (k + alg.h_check)
     return lhs == xi_nu * (k + 1 - xi_nu)
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walg import cli
 from walg.cli import main, run_command
@@ -195,6 +196,62 @@ def test_json_round_trip_is_byte_identical():
         code, out = run_command(argv)
         assert code == 0
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# subclasses whose own str() and repr() json does not call
+class _Str(str):
+    def __str__(self):
+        return "not json"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+# non-ASCII (with a lone surrogate and an astral character), control
+# characters, quotes and backslashes, besides any text
+TEXT = st.one_of(st.text(max_size=6),
+                 st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a',
+                         max_size=6))
+LEAVES = st.one_of(
+    TEXT, st.none(), st.booleans(),
+    st.integers(), st.integers(-2**200, 2**200),
+    st.floats(),  # nan, inf and -inf included
+    TEXT.map(_Str), st.integers().map(_Int),
+    st.sampled_from([[], (), {}, _List(), _Dict()]))
+KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
+                 TEXT.map(_Str), st.integers().map(_Int))
+JSON_VALUES = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.lists(children, max_size=4).map(_List),
+    st.dictionaries(KEYS, children, max_size=4),
+    st.dictionaries(KEYS, children, max_size=4).map(_Dict)), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_writer_gives_the_bytes_of_json_dumps(value):
+    assert cli._dump(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [[object()], {"a": {1, 2}}, {(1, 2): 0}, 1j],
+                         ids=["object", "set", "tuple-key", "complex"])
+def test_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._dump(value)
+    assert str(got.value) == str(want.value)
 
 
 def test_repeat_invocations_are_deterministic():

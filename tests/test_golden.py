@@ -3,9 +3,11 @@
 GOLDEN maps one ``run_command`` argv (space-joined) to the digest of its
 output: ``info`` for every self-check algebra and spo2-16; ``modules --json
 --ledger`` and ``modules --affine --json`` at the first two standard levels
-of each; ``range`` at one in-range and one out-of-range level of each; and
-``selfcheck --json`` with and without ``--all``.  Only digests are stored,
-so a mismatch says that a document changed, not where.
+of each; ``range`` at one in-range and one out-of-range level of each;
+``modules --json`` at the four deep levels of the benchmark (f4, spo2-16,
+spo2-8 and d21-5-3, 8,246 weights in all); and ``selfcheck --json`` with and
+without ``--all``.  Only digests are stored, so a mismatch says that a
+document changed, not where.
 
 The map was frozen before the per-family facts moved into one table and must
 hold unchanged across refactors.  A deliberate change of output, such as a
@@ -26,6 +28,9 @@ from walg.scalars import rational_str
 ALGEBRAS = SELFCHECK_ALGEBRAS + ("spo2-16",)
 # -k = 1/3 lies in no family's progression and is no family's critical level
 OUT_OF_RANGE_K = "-1/3"
+# deep levels of high-rank cones, where a document runs to thousands of records
+DEEP_MODULES = (("f4", "-82/3"), ("spo2-16", "-7/2"), ("spo2-8", "-13/2"),
+                ("d21-5-3", "-75/8"))
 
 
 def golden_argvs() -> list[str]:
@@ -37,6 +42,7 @@ def golden_argvs() -> list[str]:
             argvs.append(f"modules {name} --k {k} --affine --json")
         argvs.append(f"range {name} --k {levels[0]}")
         argvs.append(f"range {name} --k {OUT_OF_RANGE_K}")
+    argvs += [f"modules {name} --k {k} --json" for name, k in DEEP_MODULES]
     argvs += ["selfcheck --json", "selfcheck --all --json"]
     return argvs
 
@@ -244,6 +250,14 @@ GOLDEN = {
         "f2ea76b2f368eaa0f7fd83daca2e4d59ea26ee9d91c13637191bd5f56c25cbae",
     "range spo2-16 --k -1/3":
         "b2d590a47d98a4bb34a92a81a659f10d9bcb2cee25bc84e1791723bce9ccbf0b",
+    "modules f4 --k -82/3 --json":
+        "94d9eb1900ada5ba6e0dcd152fc2e305e4ef29d9e1a0d3f22c980ee9c939b4ed",
+    "modules spo2-16 --k -7/2 --json":
+        "d85ab704d1b156217aa5fd2d57eca3a1580330023fe65327b6854edefc146c0c",
+    "modules spo2-8 --k -13/2 --json":
+        "98e29cb64d5ec7c11c47bee0ac264a8906f814ad25cbc93625010c80e4b035e7",
+    "modules d21-5-3 --k -75/8 --json":
+        "b891f515d557020ea7e722a8944417c2e0420e2631b79fe76bbc01becca042d4",
     "selfcheck --json":
         "10fac6e29070d0d472747d88e520d56f69c2e46fdfe99e9f70a8bed0b372d6f0",
     "selfcheck --all --json":

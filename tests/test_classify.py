@@ -588,6 +588,26 @@ def test_eta_pairings_keep_the_h_term(monkeypatch, name):
                     affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
 
 
+@pytest.mark.parametrize("mutation", ["theta+theta_1/3", "comarks[0][0]+1"])
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_integrability_step_names_its_failure_site(monkeypatch, name, mutation):
+    """theta + theta_1/3 makes the h term of the step nonzero, so the vacuum
+    identity fails at the zero weight and h = 0; comarks[0][0] + 1 shifts
+    nu(theta_1-coroot), so the step fails at the first weight with c_1 = 1."""
+    aid = AlgebraId.parse(name)
+    rank = catalog.build_algebra(aid).rank_natural
+    if mutation == "theta+theta_1/3":
+        mutated = mutated_algebras(monkeypatch, "theta", lambda alg: F(1, 3) * alg.theta_i[0])
+        site = (0,) * rank
+    else:
+        mutated = mutated_basis(monkeypatch, "comarks")
+        site = (1,) + (0,) * (rank - 1)
+    with mutated:
+        rep = ledger.check_affine_pairings(level(name, standard_levels(aid, 2)[1]))
+    e, = (e for e in rep.entries if e.check_id == "affine.integrability-step")
+    assert e.computed == "nu=(" + ",".join(map(str, site)) + ") h=0"
+
+
 # --- the integer oracle against the Fraction forms it replaced ----------------
 
 def fraction_nu_plus_xi_in_Pk(lvl, nu):
@@ -821,16 +841,17 @@ GRID_MUTATIONS = {
 
 
 @contextlib.contextmanager
-def mutated_gram(monkeypatch):
-    """classify._basis with gram[0][0] raised by 1, the basis data the
-    oracle must catch; every walg cache is cleared on entry and on exit."""
+def mutated_basis(monkeypatch, field):
+    """classify._basis with field[0][0] raised by 1, basis data the oracle
+    or the ledger must catch; every walg cache is cleared on entry and on
+    exit."""
     true_basis = classify._basis
 
     def mutated(aid):
         basis = true_basis(aid)
-        gram = [list(row) for row in basis.gram]
-        gram[0][0] += 1
-        return basis._replace(gram=tuple(map(tuple, gram)))
+        rows = [list(row) for row in getattr(basis, field)]
+        rows[0][0] += 1
+        return basis._replace(**{field: tuple(map(tuple, rows))})
 
     monkeypatch.setattr(classify, "_basis", mutated)
     _clear_walg_caches()
@@ -843,7 +864,7 @@ def mutated_gram(monkeypatch):
 @pytest.mark.parametrize("mutation", list(GRID_MUTATIONS))
 def test_oracle_mutations_fail_the_full_grid(monkeypatch, mutation):
     if mutation == "gram[0][0]+1":
-        mutated = mutated_gram(monkeypatch)
+        mutated = mutated_basis(monkeypatch, "gram")
     elif mutation == "rho+theta/7":
         mutated = mutated_algebras(monkeypatch, "rho", lambda alg: F(1, 7) * alg.theta)
     else:

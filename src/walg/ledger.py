@@ -9,7 +9,7 @@ so golden reports diff cleanly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .affine import AffineWeight, affine_coroot_pair, affine_pair, finite_part
 from .catalog import coroot_pair
@@ -65,25 +65,10 @@ def check_singular_weights(lvl: Level) -> Report:
 
 
 def _h_samples(lvl: Level):
-    # h drops out of the integrability step for the catalog, where
-    # (theta_hat|eta_i) = 0, so the second sample repeats the first;
-    # test_eta_pairings_keep_the_h_term is what exercises the h term
+    # (theta_hat|eta_i) = -(theta|theta_i) = -(alpha_0|eta_i), so a nonzero
+    # h term already splits the two root sums at h = 0 and the second sample
+    # never fails first; it stays, at one vacuum pairing per level
     return (Fraction(0), lvl.k - Fraction(1, 3))
-
-
-def _eta_pairings(lvl: Level, nu: DominantWeight, h) -> tuple[Fraction, ...]:
-    """(nu_hat|eta_i) per summand, with nu_hat = h theta + w + k Lambda_0 and
-    eta_i = delta - theta_i.  By bilinearity this is
-    (w_hat + k Lambda_0|eta_i) + h (theta_hat|eta_i), and since
-    (Lambda_0|delta) = 1 the first term is k - (w|theta_i).  With k = p/q,
-    h = r/s and the integers T_i = E (w|theta_i) and t_i = E (theta_hat|eta_i)
-    of the oracle (see classify._Ambient), it is
-    (E p s - q s T_i + q r t_i) / (E q s)."""
-    c = _ambient_constants(nu.algebra)
-    p, q = lvl.k.numerator, lvl.k.denominator
-    r, s = h.numerator, h.denominator
-    return tuple(Fraction(c.E * p * s - q * s * w_t + q * r * t_eta, c.E * q * s)
-                 for w_t, t_eta in zip(nu._theta_i, c.theta_eta))
 
 
 def check_affine_pairings(lvl: Level) -> Report:
@@ -133,33 +118,29 @@ def check_affine_pairings(lvl: Level) -> Report:
                     expected=(M[0] + 1) / 2,
                     computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
 
-    # The step pairs nu_h - alpha_1 [- alpha_0] with the eta_i-coroot.  The
-    # pairing (nu_hat|eta_i) is the vacuum's, b_i = (h theta_hat + k
-    # Lambda_0|eta_i), less T_i / E with T_i = E (w|theta_i), so with
-    # c_i = (alpha_1 [+ alpha_0]|eta_i) and n_i = (eta_i|eta_i) the step
-    # reads v_i = K + lam_i T_i, where v_i = nu(theta_i-coroot),
-    # K = M_i - 2 (b_i - c_i) / n_i and lam_i = 2 / (E n_i).  Over a common
-    # denominator d_i of lam_i and the K of summand i, and with v_i = a/b,
-    # each (nu, h, i) is the integer test a d_i = (K d_i + lam_i d_i T_i) b.
-    vacuum = DominantWeight(alg.id, (0,) * alg.rank_natural)
+    # The step pairs nu_h - alpha_1 [- alpha_0] with the eta_i-coroot, for
+    # nu_h = h theta_hat + w + k Lambda_0.  By bilinearity, and since
+    # (w|eta_i) = -(w|theta_i) and (eta_i|eta_i) = (theta_i|theta_i), it
+    # splits into the vacuum identity (h theta_hat + k Lambda_0 - a|eta_i-coroot)
+    # = M_i(k) for a = alpha_1 [+ alpha_0], once per level and h sample, and
+    # per weight the integer equation v_i N_i = 2 T_i, with v_i =
+    # nu(theta_i-coroot), T_i = E (w|theta_i) and N_i = E (theta_i|theta_i).
+    # The cone starts at the zero weight, where the step is the vacuum
+    # identity; past it, the step no longer depends on h once that holds.
     samples = _h_samples(lvl)
-    offsets = [_eta_pairings(lvl, vacuum, h) for h in samples]
-    cleared = []
-    for i, eta in enumerate(etas):
-        c1, c0, norm = affine_pair(alpha1, eta), affine_pair(alpha0, eta), affine_pair(eta, eta)
-        lam = 2 / (_ambient_constants(alg.id).E * norm)
-        Ks = [[M[i] - 2 * (b[i] - c) / norm for c in (c1 + c0, c1)] for b in offsets]
-        d = lcm(lam.denominator, *(K.denominator for row in Ks for K in row))
-        cleared.append((d, int(lam * d), [[int(K * d) for K in row] for row in Ks]))
+    sums = (alpha1 + alpha0, alpha1)
+    pairings = [[affine_pair(x, eta) for x in (theta, k_lambda0, *sums, eta)] for eta in etas]
+    vacuum_failures = [h for h in samples if any(
+        2 * (h * t + lk - c) != m * n for m, (t, lk, *cs, n) in zip(M, pairings) for c in cs)]
+    norms = _ambient_constants(alg.id).theta_i_norms
 
     def step_failures():
-        for nu in enumerate_Pk(lvl):
-            terms = [(v.numerator * d, v.denominator, lam * t, Ks) for v, t, (d, lam, Ks)
-                     in zip(theta_values(lvl, nu), nu._theta_i, cleared)]
-            for j, h in enumerate(samples):
-                for a_d, b, lam_t, Ks in terms:
-                    if any(a_d != (K + lam_t) * b for K in Ks[j]):
-                        yield nu, h
+        cone = enumerate_Pk(lvl)
+        yield from ((nu, h) for nu in cone[:1] for h in vacuum_failures)
+        for nu in cone:
+            if any(v.numerator * N != 2 * T * v.denominator for v, T, N
+                   in zip(theta_values(lvl, nu), nu._theta_i, norms)):
+                yield nu, samples[0]
 
     rep.add("affine.integrability-step", algebra=name, k=k,
             formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",

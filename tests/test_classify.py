@@ -515,11 +515,7 @@ def cone_labels(draw):
 @given(cone_labels())
 def test_expanded_pairings_match_direct_formulas(label):
     lvl, nu, h = label
-    alg = lvl.alg
     assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
-    nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
-    assert ledger._eta_pairings(lvl, nu, h) == tuple(
-        affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
 
 
 def _clear_walg_caches():
@@ -570,22 +566,6 @@ def test_oracle_fails_on_a_mutated_algebra(monkeypatch, field, shift, must_fail)
             lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
             failed = {e.check_id for e in cross_identity_report(lvl).failures()}
             assert must_fail <= failed, (name, lvl.k, failed)
-
-
-@pytest.mark.parametrize("name", MUTATION_LEVELS)
-def test_eta_pairings_keep_the_h_term(monkeypatch, name):
-    """(theta_hat|eta_i) = -(theta|theta_i) is 0 for every catalog algebra,
-    so the h term of _eta_pairings is checked with theta + theta_1/3, where
-    it is not: a sign flip of that term fails here."""
-    with mutated_algebras(monkeypatch, "theta", lambda alg: F(1, 3) * alg.theta_i[0]):
-        lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
-        alg = lvl.alg
-        assert classify._ambient_constants(alg.id).theta_eta[0] != 0
-        for nu in enumerate_Pk(lvl)[:6]:
-            for h in (F(1, 3), lvl.k / 2):
-                nu_hat = AffineWeight(h * alg.theta + nu.weight(), lvl.k, 0)
-                assert ledger._eta_pairings(lvl, nu, h) == tuple(
-                    affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
 
 
 @pytest.mark.parametrize("mutation", ["theta+theta_1/3", "comarks[0][0]+1"])
@@ -670,9 +650,6 @@ def test_integer_pairings_match_fraction_references(label):
     assert nu.xi_pair == pair(alg.xi, w)
     assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
     assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
-    nu_hat = AffineWeight(h * alg.theta + w, lvl.k, 0)
-    assert ledger._eta_pairings(lvl, nu, h) == tuple(
-        affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
     assert classify._nu_plus_xi_in_Pk(lvl, nu) is fraction_nu_plus_xi_in_Pk(lvl, nu)
 
 
@@ -734,9 +711,6 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
             assert extremal_h_set(lvl, nu) == {nu.xi_pair, k + 1 - nu.xi_pair}
             for h in (F(0), F(1, 3), k / 2):
                 assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
-                nu_hat = AffineWeight(h * alg.theta + w, k, 0)
-                assert ledger._eta_pairings(lvl, nu, h) == tuple(
-                    affine_pair(nu_hat, AffineWeight(-t, 0, 1)) for t in alg.theta_i)
             dual[lvl, nu] = classify._nu_plus_xi_in_Pk(lvl, nu)
     monkeypatch.undo()
     _clear_walg_caches()

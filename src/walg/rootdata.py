@@ -101,30 +101,33 @@ def load_positive_roots(family: str, *, num_e: int, num_d: int,
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 1)
-        if len(parts) != 2 or parts[0] not in ("even", "odd"):
-            raise RootDataError(f"bad root data line {raw!r}")
-        parity, rest = parts
-        if " for " in rest:
-            expr, range_part = rest.split(" for ", 1)
-            range_part = "for " + range_part.strip()
-        else:
-            expr, range_part = rest, ""
-        expr = expr.strip()
-        if not range_part:
-            out.append((parity, _parse_terms(expr, num_e, num_d, {})))
-            continue
-        pair = _RANGE_PAIR.match(range_part)
-        single = _RANGE_SINGLE.match(range_part)
-        if pair:
-            top = _bound(pair.group(1), m)
-            for i in range(1, top + 1):
-                for j in range(i + 1, top + 1):
-                    out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i, "j": j})))
-        elif single:
-            top = _bound(single.group(1), m)
-            for i in range(1, top + 1):
-                out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i})))
-        else:
-            raise RootDataError(f"bad range clause in root data line {raw!r}")
+        try:
+            parts = line.split(None, 1)
+            if len(parts) != 2 or parts[0] not in ("even", "odd"):
+                raise RootDataError("expected a parity, even or odd, and an expression")
+            parity, rest = parts
+            if " for " in rest:
+                expr, range_part = rest.split(" for ", 1)
+                range_part = "for " + range_part.strip()
+            else:
+                expr, range_part = rest, ""
+            expr = expr.strip()
+            if not range_part:
+                out.append((parity, _parse_terms(expr, num_e, num_d, {})))
+                continue
+            pair = _RANGE_PAIR.match(range_part)
+            single = _RANGE_SINGLE.match(range_part)
+            if pair:
+                top = _bound(pair.group(1), m)
+                for i in range(1, top + 1):
+                    for j in range(i + 1, top + 1):
+                        out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i, "j": j})))
+            elif single:
+                top = _bound(single.group(1), m)
+                for i in range(1, top + 1):
+                    out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i})))
+            else:
+                raise RootDataError(f"bad range clause {range_part!r}")
+        except (ValueError, ZeroDivisionError) as exc:  # int() or Fraction() of a bad token too
+            raise RootDataError(f"bad root data line {raw!r}: {exc}") from exc
     return out

@@ -61,7 +61,10 @@ def rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_TEXT.fullmatch(text):
             raise ValueError(f"not a p/q rational: {value!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the rational {value!r}") from None
     return Fraction(value)
 
 

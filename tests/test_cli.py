@@ -105,6 +105,8 @@ def test_exit_code_2_on_usage_errors():
     assert run_command(["unitary", "spo2-3", "--k", "-1", "--nu", "x", "--ell0", "0"])[0] == 2
     assert run_command(["modules", "psl2-2", "--k", "-3/2"])[0] == 2  # off range
     assert run_command(["range", "psl2-2", "--k", "0.5"])[0] == 2     # no decimals
+    code, text = run_command(["range", "f4", "--k", "1/0"])
+    assert code == 2 and text == "walg: error: zero denominator in the rational '1/0'\n"
 
 
 def test_help_is_returned_not_printed(capsys):

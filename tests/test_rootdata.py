@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from walg.rootdata import RootDataError, load_positive_roots
@@ -21,13 +23,19 @@ def test_loader_requires_version_header(tmp_path, monkeypatch):
         load_positive_roots("d21", num_e=3, num_d=0)
 
 
-def test_loader_rejects_malformed_lines(tmp_path, monkeypatch):
+@pytest.mark.parametrize("line", [
+    "odd 2x(1)",
+    "even e(k) for 1<=i<=m",   # an index that is neither a literal nor i, j
+    "even e(i) for 1<=i<=x",   # a bound that is neither m nor a literal
+    "even 1/0e(1)",            # a zero denominator
+], ids=["bad-term", "unbound-index", "bad-bound", "zero-denominator"])
+def test_loader_rejects_malformed_lines(tmp_path, monkeypatch, line):
     target = tmp_path / "d21.roots"
     target.write_text(
-        "# walg positive-root data, format v1\nodd 2x(1)\n", encoding="utf-8")
+        f"# walg positive-root data, format v1\n{line}\n", encoding="utf-8")
     monkeypatch.setenv("WALG_DATA_DIR", str(tmp_path))
-    with pytest.raises(RootDataError):
-        load_positive_roots("d21", num_e=3, num_d=0)
+    with pytest.raises(RootDataError, match=re.escape(line)):
+        load_positive_roots("d21", num_e=3, num_d=0, m=3)
 
 
 def test_missing_family():

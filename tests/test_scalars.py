@@ -30,6 +30,13 @@ def test_rational_parsing_and_rendering():
     assert rational_str(7) == "7"
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "+7/0"])
+def test_rational_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator") as info:
+        rational(text)
+    assert repr(text) in str(info.value)
+
+
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)

@@ -89,6 +89,37 @@ def _bound(token: str, m: int | None) -> int:
     return int(token)
 
 
+def _line_roots(line: str, num_e: int, num_d: int, m: int | None) -> list[tuple[str, Vector]]:
+    """The roots of one data line, stripped of its comment and not blank."""
+    out: list[tuple[str, Vector]] = []
+    parts = line.split(None, 1)
+    if len(parts) != 2 or parts[0] not in ("even", "odd"):
+        raise RootDataError("expected a parity, even or odd, and an expression")
+    parity, rest = parts
+    if " for " in rest:
+        expr, range_part = rest.split(" for ", 1)
+        range_part = "for " + range_part.strip()
+    else:
+        expr, range_part = rest, ""
+    expr = expr.strip()
+    if not range_part:
+        return [(parity, _parse_terms(expr, num_e, num_d, {}))]
+    pair = _RANGE_PAIR.match(range_part)
+    single = _RANGE_SINGLE.match(range_part)
+    if pair:
+        top = _bound(pair.group(1), m)
+        for i in range(1, top + 1):
+            for j in range(i + 1, top + 1):
+                out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i, "j": j})))
+    elif single:
+        top = _bound(single.group(1), m)
+        for i in range(1, top + 1):
+            out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i})))
+    else:
+        raise RootDataError(f"bad range clause {range_part!r}")
+    return out
+
+
 def load_positive_roots(family: str, *, num_e: int, num_d: int,
                         m: int | None = None) -> list[tuple[str, Vector]]:
     """Return ``(parity, coords)`` pairs for the family's positive roots."""
@@ -102,32 +133,8 @@ def load_positive_roots(family: str, *, num_e: int, num_d: int,
         if not line:
             continue
         try:
-            parts = line.split(None, 1)
-            if len(parts) != 2 or parts[0] not in ("even", "odd"):
-                raise RootDataError("expected a parity, even or odd, and an expression")
-            parity, rest = parts
-            if " for " in rest:
-                expr, range_part = rest.split(" for ", 1)
-                range_part = "for " + range_part.strip()
-            else:
-                expr, range_part = rest, ""
-            expr = expr.strip()
-            if not range_part:
-                out.append((parity, _parse_terms(expr, num_e, num_d, {})))
-                continue
-            pair = _RANGE_PAIR.match(range_part)
-            single = _RANGE_SINGLE.match(range_part)
-            if pair:
-                top = _bound(pair.group(1), m)
-                for i in range(1, top + 1):
-                    for j in range(i + 1, top + 1):
-                        out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i, "j": j})))
-            elif single:
-                top = _bound(single.group(1), m)
-                for i in range(1, top + 1):
-                    out.append((parity, _parse_terms(expr, num_e, num_d, {"i": i})))
-            else:
-                raise RootDataError(f"bad range clause {range_part!r}")
-        except (ValueError, ZeroDivisionError) as exc:  # int() or Fraction() of a bad token too
+            out.extend(_line_roots(line, num_e, num_d, m))
+        except (ValueError, ZeroDivisionError) as exc:
+            # a RootDataError, or int() or Fraction() of a bad token
             raise RootDataError(f"bad root data line {raw!r}: {exc}") from exc
     return out

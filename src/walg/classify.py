@@ -29,6 +29,7 @@ from math import floor, lcm
 from operator import gt, mul
 from typing import Iterable, NamedTuple, Optional
 
+from .affine import AffineWeight, affine_pair
 from .catalog import (AlgebraData, AlgebraId, AlgebraMismatchError, Weight,
                       _weight_sum, build_algebra, coroot_pair, pair)
 from .report import Report
@@ -393,11 +394,11 @@ def _dot(u, v) -> int:
 
 
 class _Ambient(NamedTuple):
-    """Ambient data of one algebra for the oracle and for the per-weight
-    equation of the ledger's integrability step, on integers: with L and G
-    the common denominators of the weights below and of the Gram matrix, and
-    G' = G gram, (u|v) = (L u).G'(L v) / E for E = G L^2.  Vectors are L
-    times a weight (G' applied where named g_), scalars E times a pairing."""
+    """Ambient data of one algebra for the oracle and for the ledger's
+    integrability step, on integers: with L and G the common denominators of
+    the weights below and of the Gram matrix, and G' = G gram, (u|v) =
+    (L u).G'(L v) / E for E = G L^2.  Vectors are L times a weight (G'
+    applied where named g_), scalars E times a pairing."""
 
     E: int
     # L omega_a and G' L omega_a by coordinate: omega[j][a], g_omega[j][a]
@@ -413,6 +414,9 @@ class _Ambient(NamedTuple):
     theta_i_norms: tuple[int, ...]           # E (theta_i|theta_i)
     theta_theta: int                         # E (theta|theta)
     theta_two_rho: int                       # E (theta|2 rho)
+    # E (theta_hat|eta_i), eta_i = delta - theta_i; 0 for the catalog, where
+    # theta is orthogonal to g-natural, but paired rather than assumed
+    theta_eta: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +449,9 @@ def _ambient_constants(aid: AlgebraId) -> _Ambient:
         simple=tuple((applied(s), int(E * pair(s, s))) for s in simple),
         theta_i_norms=tuple(int(E * pair(t, t)) for t in alg.theta_i),
         theta_theta=int(E * pair(alg.theta, alg.theta)),
-        theta_two_rho=int(E * pair(alg.theta, two_rho)))
+        theta_two_rho=int(E * pair(alg.theta, two_rho)),
+        theta_eta=tuple(int(E * affine_pair(AffineWeight(alg.theta), AffineWeight(-t, 0, 1)))
+                        for t in alg.theta_i))
 
 
 def _ell0_coeffs(lvl: Level, nu: DominantWeight) -> tuple[int, int, int, int]:

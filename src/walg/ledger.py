@@ -129,17 +129,18 @@ def check_affine_pairings(lvl: Level) -> Report:
     # identity; past it, the step no longer depends on h once that holds.
     samples = _h_samples(lvl)
     sums = (alpha1 + alpha0, alpha1)
-    pairings = [[affine_pair(x, eta) for x in (theta, k_lambda0, *sums, eta)] for eta in etas]
+    c = _ambient_constants(alg.id)  # E (theta_hat|eta_i) and N_i
+    pairings = [[affine_pair(x, eta) for x in (k_lambda0, *sums, eta)] for eta in etas]
     vacuum_failures = [h for h in samples if any(
-        2 * (h * t + lk - c) != m * n for m, (t, lk, *cs, n) in zip(M, pairings) for c in cs)]
-    norms = _ambient_constants(alg.id).theta_i_norms
+        2 * (h * t / c.E + lk - a) != m * n
+        for m, t, (lk, *a_pairs, n) in zip(M, c.theta_eta, pairings) for a in a_pairs)]
 
     def step_failures():
         cone = enumerate_Pk(lvl)
         yield from ((nu, h) for nu in cone[:1] for h in vacuum_failures)
         for nu in cone:
             if any(v.numerator * N != 2 * T * v.denominator for v, T, N
-                   in zip(theta_values(lvl, nu), nu._theta_i, norms)):
+                   in zip(theta_values(lvl, nu), nu._theta_i, c.theta_i_norms)):
                 yield nu, samples[0]
 
     rep.add("affine.integrability-step", algebra=name, k=k,

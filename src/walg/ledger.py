@@ -67,7 +67,7 @@ def check_singular_weights(lvl: Level) -> Report:
 def _h_samples(lvl: Level):
     # (theta_hat|eta_i) = -(theta|theta_i) = -(alpha_0|eta_i), so a nonzero
     # h term already splits the two root sums at h = 0 and the second sample
-    # never fails first; it stays, at one vacuum pairing per level
+    # never fails first; it stays, at one vacuum test per summand and level
     return (Fraction(0), lvl.k - Fraction(1, 3))
 
 

@@ -25,7 +25,7 @@ from .affine import (AffineWeight, AffineRoot, SimpleRootSet, ReflectionError,
 from .classify import (Level, DominantWeight, AffineModuleLabel, WModuleLabel,
                        Verdict, CriticalLevelError, RangeError, level,
                        in_unitarity_range, level_M, table_M, enumerate_Pk,
-                       in_truncated_cone, theta_values,
+                       count_Pk, in_truncated_cone, theta_values,
                        is_extremal, A_value, ell0, extremal_h_set,
                        affine_module_descends, w_module_exists,
                        hamiltonian_reduce, unitarity_verdict,

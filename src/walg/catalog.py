@@ -21,8 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from . import rootdata
@@ -299,6 +300,16 @@ class AlgebraId:
     @property
     def name(self) -> str:
         return "-".join([self.family, *map(str, (self.m, self.n)[:self.spec.params])])
+
+    @cached_property
+    def rank_natural(self) -> int:
+        """Rank of g-natural, read off the row without building the algebra:
+        the even simple roots orthogonal to theta, as build_algebra selects
+        natural_simple."""
+        roots = self.spec.roots(self.m, self.n)
+        g_theta = [sum(map(mul, row, roots.theta)) for row in self.spec.gram(self.m, self.n)]
+        return sum(parity == "even" and sum(map(mul, coords, g_theta)) == 0
+                   for coords, parity in roots.simple)
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraId":

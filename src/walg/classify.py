@@ -48,6 +48,7 @@ __all__ = [
     "level_M",
     "table_M",
     "enumerate_Pk",
+    "count_Pk",
     "in_truncated_cone",
     "theta_values",
     "is_extremal",
@@ -151,25 +152,48 @@ class Level:
         far leave, and c_a runs up to the least budget_i // C[i][a] over the
         summands that bound it (0 when none does).  Only feasible prefixes
         are visited.
+
+        The walk fills in each weight's integer facts as it goes, each step
+        in O(rank): the comark values M_i - budget_i (_comark_values), and
+        Q and X of A (_A_ints), from the running gram.c with
+        Q += c (two_rho[a] + 2 (gram.c)[a] + c gram[a][a]) and X += c xi[a].
         """
         _require_range(self)
         aid = self.alg.id
-        comarks = _basis(aid).comarks
-        rank = len(comarks[0])
+        basis = _basis(aid)
+        gram = basis.gram
+        cols = tuple(zip(*basis.comarks))  # cols[a][i] = C[i][a]
+        last = len(cols) - 1
+        top = tuple(int(m) for m in self.M)
         out = []
 
-        def walk(prefix: tuple[int, ...], budgets: tuple[int, ...]):
+        def walk(prefix, budgets, g, Q, X):
+            # g = gram.c of the prefix, Q and X its threshold integers
             a = len(prefix)
-            if a == rank:
-                out.append(DominantWeight(aid, prefix))
+            col = cols[a]
+            cap = _cap(budgets, col)
+            lin, diag, x = basis.two_rho[a] + 2 * g[a], gram[a][a], basis.xi[a]
+            if a == last:
+                spent = tuple(m - b for m, b in zip(top, budgets))
+                for c in range(cap + 1):
+                    out.append(_walked_weight(
+                        aid, prefix + (c,), tuple(s + c * r for s, r in zip(spent, col)),
+                        (Q + c * (lin + c * diag), X + c * x)))
                 return
-            cap = min((b // row[a] for b, row in zip(budgets, comarks) if row[a]),
-                      default=0)
+            row = gram[a]
             for c in range(cap + 1):
-                walk(prefix + (c,), tuple(b - c * row[a] for b, row in zip(budgets, comarks)))
+                walk(prefix + (c,), tuple(b - c * r for b, r in zip(budgets, col)),
+                     tuple(gb + c * ga for gb, ga in zip(g, row)),
+                     Q + c * (lin + c * diag), X + c * x)
 
-        walk((), tuple(int(m) for m in self.M))
+        walk((), top, (0,) * len(cols), 0, 0)
         return tuple(out)
+
+
+def _cap(budgets: tuple[int, ...], col: tuple[int, ...]) -> int:
+    """The largest c with c col <= budgets on every summand that bounds the
+    coefficient (col[i] > 0); 0 when none does."""
+    return min((b // r for b, r in zip(budgets, col) if r), default=0)
 
 
 def level(algebra: AlgebraData | AlgebraId | str, k) -> Level:
@@ -210,12 +234,12 @@ class DominantWeight:
         if any(type(c) is not int for c in coeffs):
             raise TypeError(f"dominant weight coefficients must be ints, got {coeffs!r}")
         object.__setattr__(self, "coeffs", coeffs)
-        alg = build_algebra(self.algebra)
-        if len(self.coeffs) != alg.rank_natural:
+        rank = self.algebra.rank_natural
+        if len(coeffs) != rank:
             raise RangeError(
-                f"{self.algebra.name} dominant weights take {alg.rank_natural} "
-                f"coefficients, got {len(self.coeffs)}")
-        if any(c < 0 for c in self.coeffs):
+                f"{self.algebra.name} dominant weights take {rank} "
+                f"coefficients, got {len(coeffs)}")
+        if any(c < 0 for c in coeffs):
             raise RangeError("dominant weight coefficients must be nonnegative")
 
     def weight(self) -> Weight:
@@ -270,6 +294,17 @@ class DominantWeight:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+
+def _walked_weight(aid: AlgebraId, coeffs: tuple[int, ...], comark_values: tuple[int, ...],
+                   A_ints: tuple[int, int]) -> DominantWeight:
+    """A weight of Level.cone with the facts of the walk in place.  The walk
+    makes only nonnegative int coefficients of the right length, so the
+    public checks are skipped; the weight equals and hashes as
+    DominantWeight(aid, coeffs)."""
+    nu = object.__new__(DominantWeight)
+    vars(nu).update(algebra=aid, coeffs=coeffs, _comark_values=comark_values, _A_ints=A_ints)
+    return nu
 
 
 class _Basis(NamedTuple):
@@ -339,6 +374,42 @@ def enumerate_Pk(lvl: Level) -> tuple[DominantWeight, ...]:
     """All dominant integral nu with nu(theta_i-coroot) <= M_i(k), in
     lexicographic coefficient order."""
     return lvl.cone
+
+
+def count_Pk(lvl: Level) -> int:
+    """len(enumerate_Pk(lvl)), without enumerating the cone.
+
+    A dynamic program over the comark rows of the cone walk: with f(a, B)
+    the number of ways to choose c_a, c_{a+1}, ... within the budgets B,
+    f(a, B) = f(a + 1, B) + f(a, B - C[.][a]) while c_a can still grow.
+    The memo holds one count per reachable (a, B) and lives for the call,
+    so the work is O(rank) per budget vector reached, not per weight.
+    """
+    _require_range(lvl)
+    cols = tuple(zip(*_basis(lvl.alg.id).comarks))
+    last = len(cols) - 1
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def fits(a: int, budgets: tuple[int, ...]) -> int:
+        col = cols[a]
+        if a == last:
+            return _cap(budgets, col) + 1
+        # walk down B, B - col, B - 2 col, ... to a known count or to the
+        # budgets where c_a can grow no further, then add up on the way back
+        chain, total = [], 0
+        while (a, budgets) not in memo:
+            chain.append(budgets)
+            if not _cap(budgets, col):
+                break
+            budgets = tuple(b - r for b, r in zip(budgets, col))
+        else:
+            total = memo[a, budgets]
+        for budgets in reversed(chain):
+            total += fits(a + 1, budgets)
+            memo[a, budgets] = total
+        return total
+
+    return fits(0, tuple(int(m) for m in lvl.M))
 
 
 def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:

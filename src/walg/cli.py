@@ -16,8 +16,8 @@ from . import __version__
 from .affine import eta_membership_check, reflected_base, simple_root_set_json
 from .catalog import (AlgebraId, algebra_json, build_algebra, selfcheck_algebra)
 from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
-                       WModuleLabel, affine_record_json,
-                       classify_affine_modules, classify_w_modules,
+                       RangeError, WModuleLabel, affine_record_json,
+                       classify_affine_modules, classify_w_modules, count_Pk,
                        cross_identity_report, hamiltonian_reduce,
                        in_truncated_cone, in_unitarity_range, is_extremal,
                        level, level_M, standard_levels, unitarity_verdict,
@@ -31,6 +31,10 @@ SELFCHECK_ALGEBRAS = (
     "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3",
 )
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
+# the default --max-records of `modules`: 15 times the largest benchmark
+# document (6,391 records); a 93,104-record document takes about 3 s and
+# 170 MB, while the cones just beyond run to millions of weights
+MAX_RECORDS = 100_000
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")
 
@@ -92,6 +96,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--ledger", action="store_true",
                    help="append the ledger report section to the JSON catalog")
+    p.add_argument("--max-records", type=_nonnegative_int, default=MAX_RECORDS,
+                   metavar="N",
+                   help="refuse (exit 2) a truncated cone of more than N weights "
+                        f"(default {MAX_RECORDS})")
 
     p = sub.add_parser("unitary", help="three-valued unitarity verdict for one W-label")
     p.add_argument("algebra")
@@ -115,6 +123,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     return parser
+
+
+def _nonnegative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_nu(alg, text: str) -> DominantWeight:
@@ -195,6 +209,11 @@ def _cmd_range(args) -> tuple[int, str]:
 
 def _cmd_modules(args) -> tuple[int, str]:
     lvl = level(args.algebra, args.k)
+    count = count_Pk(lvl)
+    if count > args.max_records:
+        raise RangeError(
+            f"the truncated cone of {lvl.name} at k = {rational_str(lvl.k)} has "
+            f"{count} weights, more than --max-records {args.max_records}")
     payload = _catalog_header(lvl)
     if args.affine:
         payload["kind"] = "affine"
@@ -271,12 +290,8 @@ def _cmd_reflect(args) -> tuple[int, str]:
     return (0 if report.all_pass else 1), _dump(payload)
 
 
-def _selfcheck_report(run_all: bool) -> Report:
-    report = Report()
-    for name in SELFCHECK_ALGEBRAS:
-        alg = build_algebra(AlgebraId.parse(name))
-        report.extend(selfcheck_algebra(alg))
-        report.extend(eta_membership_check(alg))
+def _selfcheck_levels(run_all: bool):
+    """The levels of the ledger (and, with run_all, cross-identity) grid."""
     for name in SELFCHECK_ALGEBRAS:
         alg = build_algebra(AlgebraId.parse(name))
         if run_all:
@@ -289,10 +304,19 @@ def _selfcheck_report(run_all: bool) -> Report:
         else:
             count = 2
         for k in standard_levels(alg.id, count):
-            lvl = Level(alg, k)
-            report.extend(run_level_ledger(lvl))
-            if run_all:
-                report.extend(cross_identity_report(lvl))
+            yield Level(alg, k)
+
+
+def _selfcheck_report(run_all: bool) -> Report:
+    report = Report()
+    for name in SELFCHECK_ALGEBRAS:
+        alg = build_algebra(AlgebraId.parse(name))
+        report.extend(selfcheck_algebra(alg))
+        report.extend(eta_membership_check(alg))
+    for lvl in _selfcheck_levels(run_all):
+        report.extend(run_level_ledger(lvl))
+        if run_all:
+            report.extend(cross_identity_report(lvl))
     for m, n in CONE_PAIRS:
         for q in range(1, 5 if run_all else 2):
             report.extend(check_d21_cone(m, n, q))

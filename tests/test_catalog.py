@@ -54,6 +54,12 @@ def test_catalog_invariants_on_the_wide_grid(name):
         assert report.all_pass, [e.line() for e in report.failures()]
 
 
+@pytest.mark.parametrize("name", ALL_NAMES + WIDE_GRID + ["spo2-33", "d21-1-1"])
+def test_rank_is_read_off_the_table_row(name):
+    # AlgebraId.rank_natural counts from the row what build_algebra selects
+    assert AlgebraId.parse(name).rank_natural == alg(name).rank_natural
+
+
 def test_d21_1_1_is_constructible_but_off_the_sampling_grid():
     # coprime (1, 1) passes the id invariants; it is simply never sampled
     a = alg("d21-1-1")

@@ -14,13 +14,14 @@ from walg.catalog import AlgebraId, AlgebraMismatchError, coroot_pair, pair
 from walg.classify import (AffineModuleLabel, CriticalLevelError,
                            DominantWeight, RangeError, WModuleLabel,
                            A_value, affine_module_descends,
-                           classify_w_modules, cross_identity_report, ell0,
+                           classify_affine_modules, classify_w_modules,
+                           count_Pk, cross_identity_report, ell0,
                            enumerate_Pk, extremal_h_set, hamiltonian_reduce,
                            in_truncated_cone, in_unitarity_range, is_extremal,
                            level, level_M, standard_levels, table_M,
                            theta_values, unitarity_verdict, w_module_exists)
 from walg.cli import SELFCHECK_ALGEBRAS
-from walg.scalars import rational
+from walg.scalars import rational, rational_str
 
 FAMILY_REPS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "d21-3-2", "f4", "g3"]
 
@@ -135,6 +136,8 @@ def test_enumerate_cone_against_brute_force(name, k):
 def test_enumerate_requires_range():
     with pytest.raises(RangeError):
         enumerate_Pk(level("psl2-2", F(-3, 2)))
+    with pytest.raises(RangeError):
+        count_Pk(level("psl2-2", F(-3, 2)))
 
 
 def test_extremality_examples():
@@ -879,3 +882,95 @@ def test_cross_identities_reach_the_public_predicates(monkeypatch, name):
     lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
     assert cross_identity_report(lvl).all_pass
     assert all(calls.values()), calls
+
+
+# --- the cone walk's facts and the cone count, against the slow paths ------
+
+def test_walk_and_count_match_the_slow_paths_on_the_selfcheck_grid():
+    """At every level of the selfcheck --all grid, count_Pk is the cone
+    size, and each weight of the walk, built with its facts in place,
+    equals the public DominantWeight(aid, coeffs) and its facts computed
+    on first use."""
+    for lvl in cli._selfcheck_levels(True):
+        cone = enumerate_Pk(lvl)
+        assert count_Pk(lvl) == len(cone), (lvl.name, lvl.k)
+        for nu in cone:
+            assert {"_comark_values", "_A_ints"} <= vars(nu).keys()
+            ref = DominantWeight(lvl.alg.id, nu.coeffs)
+            assert not {"_comark_values", "_A_ints"} & vars(ref).keys()
+            assert nu == ref and hash(nu) == hash(ref)
+            assert nu._comark_values == ref._comark_values, (lvl.name, lvl.k, nu.coeffs)
+            assert nu._A_ints == ref._A_ints, (lvl.name, lvl.k, nu.coeffs)
+
+
+ENUMERATION_LIMIT = 20_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SELFCHECK_ALGEBRAS + ("spo2-16", "d21-7-4")), st.integers(0, 45))
+def test_count_is_the_cone_size_at_random_levels(name, offset):
+    """count_Pk == len(enumerate_Pk) wherever the cone is small enough to
+    walk; above that the CLI refuses the level with the count."""
+    aid = AlgebraId.parse(name)
+    k = standard_levels(aid, offset + 1)[-1]
+    count = count_Pk(level(aid, k))
+    if count <= ENUMERATION_LIMIT:
+        assert count == len(enumerate_Pk(level(aid, k)))
+    else:
+        code, text = cli.run_command(["modules", name, "--k", rational_str(k),
+                                      "--max-records", str(ENUMERATION_LIMIT)])
+        assert code == 2 and f" has {count} weights, " in text
+
+
+def _patch_build_algebra(monkeypatch, replacement):
+    original = catalog.build_algebra
+    for name, module in list(sys.modules.items()):
+        if name == "walg" or name.startswith("walg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("name", ["spo2-3", "f4", "d21-5-3"])
+def test_public_weight_checks_without_building_the_algebra(monkeypatch, name):
+    """DominantWeight(...) keeps every check, with the rank read off the
+    AlgebraId: build_algebra raises here, with every walg cache cold."""
+    def no_build(aid):
+        raise AssertionError("DominantWeight built the algebra")
+
+    _clear_walg_caches()
+    _patch_build_algebra(monkeypatch, no_build)
+    aid = AlgebraId.parse(name)
+    rank = aid.rank_natural
+    zeros = (0,) * (rank - 1)
+    assert DominantWeight(aid, (2, *zeros)).coeffs == (2, *zeros)
+    assert DominantWeight(aid, [2, *zeros]).coeffs == (2, *zeros)
+    for bad in (True, 1.0, F(1)):
+        with pytest.raises(TypeError):
+            DominantWeight(aid, (bad, *zeros))
+    for coeffs in (zeros, (0, 0, *zeros), (-1, *zeros)):
+        with pytest.raises(RangeError):
+            DominantWeight(aid, coeffs)
+    monkeypatch.undo()
+    assert rank == catalog.build_algebra(aid).rank_natural
+
+
+def test_classification_builds_no_algebra_per_weight(monkeypatch):
+    """The walk builds its weights without build_algebra, so the calls made
+    while classifying a level do not grow with its cone: at most one per
+    per-algebra cache that is still cold."""
+    calls = []
+
+    def counting(aid, _build=catalog.build_algebra):
+        calls.append(aid)
+        return _build(aid)
+
+    _patch_build_algebra(monkeypatch, counting)
+    aid = AlgebraId.parse("f4")
+    per_level = []
+    for k in standard_levels(aid, 10)[::9]:  # 3 and 825 weights
+        lvl = level(aid, k)
+        calls.clear()
+        assert len(classify_w_modules(lvl)) == len(classify_affine_modules(lvl)) == count_Pk(lvl)
+        per_level.append(len(calls))
+    assert max(per_level) <= 2, per_level

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,35 @@ def test_exit_code_2_on_usage_errors():
     assert run_command(["range", "psl2-2", "--k", "0.5"])[0] == 2     # no decimals
     code, text = run_command(["range", "f4", "--k", "1/0"])
     assert code == 2 and text == "walg: error: zero denominator in the rational '1/0'\n"
+
+
+# spo2-16 at k = -21 (q0 + 40): 21,312,720 weights in the truncated cone
+OVERSIZED = ["modules", "spo2-16", "--k", "-21"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--max-records", "100000"], [], ["--json"], ["--affine"], ["--ledger", "--json"],
+], ids=["100000", "default", "json", "affine", "ledger"])
+def test_modules_refuses_an_oversized_cone_at_once(extra):
+    start = time.perf_counter()
+    code, text = run_command(OVERSIZED + extra)
+    elapsed = time.perf_counter() - start
+    assert (code, text) == (2, "walg: error: the truncated cone of spo2-16 at k = -21 has "
+                               "21312720 weights, more than --max-records 100000\n")
+    assert elapsed < 1.0
+
+
+def test_max_records_bounds_the_document():
+    assert run_json(["modules", "spo2-3", "--k", "-1", "--json", "--max-records", "3"])[
+        "modules"] == run_json(["modules", "spo2-3", "--k", "-1", "--json"])["modules"]
+    code, text = run_command(["modules", "spo2-3", "--k", "-1", "--max-records", "2"])
+    assert code == 2 and "has 3 weights, more than --max-records 2" in text
+    for bad in ("-1", "1.5", "x", ""):
+        code, text = run_command(["modules", "spo2-3", "--k", "-1", f"--max-records={bad}"])
+        assert code == 2 and "argument --max-records: expected a nonnegative integer" in text
+    # the range check still comes first, with its own message
+    assert run_command(["modules", "psl2-2", "--k", "-3/2", "--max-records", "0"]) == (
+        2, "walg: error: k = -3/2 is outside the unitarity range of psl2-2\n")
 
 
 def test_help_is_returned_not_printed(capsys):

@@ -31,9 +31,9 @@ SELFCHECK_ALGEBRAS = (
     "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3",
 )
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
-# the default --max-records of `modules`: 15 times the largest benchmark
-# document (6,391 records); a 93,104-record document takes about 3 s and
-# 170 MB, while the cones just beyond run to millions of weights
+# the default --max-records of `modules`: 15 times the largest document of
+# the benchmark and the golden tests (6,391 records), while the cones a few
+# levels deeper run to millions of weights
 MAX_RECORDS = 100_000
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")

@@ -117,7 +117,12 @@ OVERSIZED = ["modules", "spo2-16", "--k", "-21"]
 @pytest.mark.parametrize("extra", [
     ["--max-records", "100000"], [], ["--json"], ["--affine"], ["--ledger", "--json"],
 ], ids=["100000", "default", "json", "affine", "ledger"])
-def test_modules_refuses_an_oversized_cone_at_once(extra):
+def test_modules_refuses_an_oversized_cone_at_once(monkeypatch, extra):
+    def enumerated(lvl):  # a guard that let the cone through fails here, not in 21 M weights
+        raise AssertionError(f"modules enumerated the cone of {lvl.name} at k = {lvl.k}")
+
+    for name in ("classify_w_modules", "classify_affine_modules", "run_level_ledger"):
+        monkeypatch.setattr(cli, name, enumerated)
     start = time.perf_counter()
     code, text = run_command(OVERSIZED + extra)
     elapsed = time.perf_counter() - start

@@ -10,9 +10,8 @@ rests on.  All arithmetic is exact rational.
 
 __version__ = "0.1.0"
 
-from .scalars import (Rational, Vector, Matrix, DimensionError,
-                      SingularMatrixError, rational, rational_str, vector,
-                      solve_linear)
+from .scalars import (Vector, Matrix, DimensionError, SingularMatrixError,
+                      rational, rational_str, vector, solve_linear)
 from .catalog import (FamilySpec, FAMILY_TABLE, AlgebraId, Weight, Root,
                       AlgebraData, InvalidAlgebraError, AlgebraMismatchError,
                       IsotropyError, build_algebra, pair, coroot_pair,

@@ -364,10 +364,6 @@ class Weight:
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class Root:

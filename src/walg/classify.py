@@ -71,6 +71,12 @@ __all__ = [
 ]
 
 
+# The most weights Level.cone enumerates: 15 times the largest document of
+# the benchmark and the golden tests (6,391 records), while the cones a few
+# levels deeper run to millions of weights
+MAX_CONE = 100_000
+
+
 class CriticalLevelError(ValueError):
     """k = -h_check is excluded everywhere."""
 
@@ -157,8 +163,16 @@ class Level:
         in O(rank): the comark values M_i - budget_i (_comark_values), and
         Q and X of A (_A_ints), from the running gram.c with
         Q += c (two_rho[a] + 2 (gram.c)[a] + c gram[a][a]) and X += c xi[a].
+
+        Every enumeration of the cone passes here, so here is its one size
+        bound: a level off the unitarity range, or whose cone has more than
+        MAX_CONE weights (counted first by count_Pk), raises RangeError.
         """
-        _require_range(self)
+        count = count_Pk(self)
+        if count > MAX_CONE:
+            raise RangeError(
+                f"the truncated cone of {self.name} at k = {rational_str(self.k)} has "
+                f"{count} weights, more than the {MAX_CONE} that walg enumerates")
         aid = self.alg.id
         basis = _basis(aid)
         gram = basis.gram
@@ -377,7 +391,9 @@ def enumerate_Pk(lvl: Level) -> tuple[DominantWeight, ...]:
 
 
 def count_Pk(lvl: Level) -> int:
-    """len(enumerate_Pk(lvl)), without enumerating the cone.
+    """len(enumerate_Pk(lvl)), without enumerating the cone, so also for a
+    cone of more than MAX_CONE weights, which enumerate_Pk refuses.  Raises
+    RangeError off the unitarity range.
 
     A dynamic program over the comark rows of the cone walk: with f(a, B)
     the number of ways to choose c_a, c_{a+1}, ... within the budgets B,

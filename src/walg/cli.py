@@ -16,9 +16,8 @@ from . import __version__
 from .affine import eta_membership_check, reflected_base, simple_root_set_json
 from .catalog import (AlgebraId, algebra_json, build_algebra, selfcheck_algebra)
 from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
-                       RangeError, WModuleLabel, affine_record_json,
-                       classify_affine_modules, classify_w_modules, count_Pk,
-                       cross_identity_report, hamiltonian_reduce,
+                       WModuleLabel, affine_record_json, classify_affine_modules,
+                       classify_w_modules, cross_identity_report, hamiltonian_reduce,
                        in_truncated_cone, in_unitarity_range, is_extremal,
                        level, level_M, standard_levels, unitarity_verdict,
                        w_record_json)
@@ -31,10 +30,6 @@ SELFCHECK_ALGEBRAS = (
     "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3",
 )
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
-# the default --max-records of `modules`: 15 times the largest document of
-# the benchmark and the golden tests (6,391 records), while the cones a few
-# levels deeper run to millions of weights
-MAX_RECORDS = 100_000
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")
 
@@ -96,10 +91,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--ledger", action="store_true",
                    help="append the ledger report section to the JSON catalog")
-    p.add_argument("--max-records", type=_nonnegative_int, default=MAX_RECORDS,
-                   metavar="N",
-                   help="refuse (exit 2) a truncated cone of more than N weights "
-                        f"(default {MAX_RECORDS})")
 
     p = sub.add_parser("unitary", help="three-valued unitarity verdict for one W-label")
     p.add_argument("algebra")
@@ -123,12 +114,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _nonnegative_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
 
 
 def _parse_nu(alg, text: str) -> DominantWeight:
@@ -209,11 +194,6 @@ def _cmd_range(args) -> tuple[int, str]:
 
 def _cmd_modules(args) -> tuple[int, str]:
     lvl = level(args.algebra, args.k)
-    count = count_Pk(lvl)
-    if count > args.max_records:
-        raise RangeError(
-            f"the truncated cone of {lvl.name} at k = {rational_str(lvl.k)} has "
-            f"{count} weights, more than --max-records {args.max_records}")
     payload = _catalog_header(lvl)
     if args.affine:
         payload["kind"] = "affine"

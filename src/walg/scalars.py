@@ -12,14 +12,12 @@ import re
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 __all__ = [
-    "Rational",
     "Vector",
     "Matrix",
     "DimensionError",

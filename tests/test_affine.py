@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from walg.affine import (AffineRoot, AffineWeight, ReflectionError,
-                         affine_pair, affine_simple_roots, eta_membership_check,
-                         finite_part, odd_reflect, reflected_base,
-                         simple_root_set_json, zero_weight)
-from walg.catalog import AlgebraId, Weight, build_algebra
+                         affine_coroot_pair, affine_pair, affine_simple_roots,
+                         eta_membership_check, finite_part, odd_reflect,
+                         reflected_base, simple_root_set_json, zero_weight)
+from walg.catalog import (AlgebraId, AlgebraMismatchError, IsotropyError,
+                          Weight, build_algebra)
 
 ALL_NAMES = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "spo2-7", "spo2-8",
              "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3"]
@@ -110,6 +111,24 @@ def test_reflect_errors():
     stray = AffineRoot(finite_part(a.theta_i[0]), "odd")
     with pytest.raises(ReflectionError):
         odd_reflect(pi, stray)
+    with pytest.raises(ReflectionError, match="^odd reflection needs an isotropic root$"):
+        odd_reflect(pi + (stray,), stray)  # a member, odd, but (theta_1|theta_1) != 0
+
+
+def test_affine_weights_of_two_algebras_do_not_mix():
+    f4, g3 = finite_part(alg("f4").theta), finite_part(alg("g3").theta)
+    with pytest.raises(AlgebraMismatchError, match="^cannot combine f4 and g3 affine weights$"):
+        f4 + g3
+    with pytest.raises(AlgebraMismatchError, match="^cannot pair f4 with g3$"):
+        affine_pair(f4, g3)
+
+
+def test_affine_coroot_pair_rejects_isotropic():
+    a = alg("spo2-3")
+    alpha1 = affine_simple_roots(a)[1]
+    with pytest.raises(IsotropyError,
+                       match="^coroot pairing against an isotropic affine root$"):
+        affine_coroot_pair(finite_part(a.theta), alpha1)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -146,3 +165,5 @@ def test_affine_root_validation():
         AffineRoot(AffineWeight(zero_weight(a), 1, 0), "even")  # Lambda_0 part
     with pytest.raises(ValueError):
         AffineRoot(AffineWeight(zero_weight(a), 0, F(1, 2)), "even")  # fractional delta
+    with pytest.raises(ValueError, match="^parity must be 'even' or 'odd', got 'x'$"):
+        AffineRoot(finite_part(a.theta), "x")

@@ -11,7 +11,7 @@ import pytest
 import walg
 from walg.affine import eta_membership_check
 from walg.catalog import (AlgebraData, AlgebraId, AlgebraMismatchError,
-                          InvalidAlgebraError, IsotropyError, Weight,
+                          InvalidAlgebraError, IsotropyError, Root, Weight,
                           _in_natural_cone, build_algebra, coroot_pair,
                           expected_chi, expected_h_check, pair,
                           selfcheck_algebra)
@@ -35,6 +35,16 @@ def test_selfcheck_all_pass(name):
 def test_invalid_ids_rejected(bad):
     with pytest.raises(InvalidAlgebraError):
         AlgebraId.parse(bad)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("f4", 1), "f4 takes no parameters"),
+    (("spo2", 5, 1), "spo2 takes a single parameter m"),
+    (("e8",), "unknown algebra family 'e8'"),
+], ids=["no-parameters", "single-parameter", "unknown-family"])
+def test_algebra_id_rejects_wrong_parameters(args, message):
+    with pytest.raises(InvalidAlgebraError, match=f"^{message}$"):
+        AlgebraId(*args)
 
 
 @pytest.mark.parametrize("m,n", [(True, 2), (2, True), (1, True)])
@@ -213,6 +223,8 @@ def test_root_isotropy_is_derived():
     d1 = next(r for r in a.positive_roots
               if r.is_odd and r.weight == Weight(a.id, [0, 1]))
     assert not d1.is_isotropic()
+    with pytest.raises(ValueError, match="^parity must be 'even' or 'odd', got 'Odd'$"):
+        Root(d1.weight, "Odd")
 
 
 def test_build_is_cached_and_immutable():

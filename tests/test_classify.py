@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import sys
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -140,6 +141,31 @@ def test_enumerate_requires_range():
         count_Pk(level("psl2-2", F(-3, 2)))
 
 
+@pytest.mark.parametrize("enumerate_", [
+    enumerate_Pk, classify_w_modules, classify_affine_modules, cross_identity_report,
+    ledger.run_level_ledger,
+], ids=lambda f: f.__name__)
+def test_every_enumeration_refuses_an_oversized_cone_at_once(monkeypatch, enumerate_):
+    def walked(*args):  # a guard that let the cone through fails here, not in 21 M weights
+        raise AssertionError("the oversized cone was walked")
+
+    monkeypatch.setattr(classify, "_walked_weight", walked)
+    lvl = level("spo2-16", -21)
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match="^the truncated cone of spo2-16 at k = -21 has "
+                                         "21312720 weights, more than the 100000 "):
+        enumerate_(lvl)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_cone_bound_is_strict(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_CONE", 3)
+    assert [nu.coeffs for nu in enumerate_Pk(level("spo2-3", -1))] == [(0,), (1,), (2,)]
+    monkeypatch.setattr(classify, "MAX_CONE", 2)
+    with pytest.raises(RangeError, match=" has 3 weights, more than the 2 that walg enumerates$"):
+        enumerate_Pk(level("spo2-3", -1))
+
+
 def test_extremality_examples():
     lvl = level("spo2-3", F(-1))
     assert is_extremal(lvl, nu_of(lvl, 0)) is False
@@ -271,6 +297,8 @@ def test_verdict_condition_tags():
     assert str(unitarity_verdict(lvl, WModuleLabel(small, F(-1)))) == "not_unitary:1c"
     with pytest.raises(ValueError):
         unitarity_verdict(lvl, WModuleLabel(small, None))
+    with pytest.raises(ValueError, match="^unknown violated-condition tag '1d'$"):
+        classify.not_unitary("1d")
 
 
 def test_verdict_requires_range():
@@ -914,12 +942,13 @@ def test_count_is_the_cone_size_at_random_levels(name, offset):
     aid = AlgebraId.parse(name)
     k = standard_levels(aid, offset + 1)[-1]
     count = count_Pk(level(aid, k))
-    if count <= ENUMERATION_LIMIT:
-        assert count == len(enumerate_Pk(level(aid, k)))
-    else:
-        code, text = cli.run_command(["modules", name, "--k", rational_str(k),
-                                      "--max-records", str(ENUMERATION_LIMIT)])
-        assert code == 2 and f" has {count} weights, " in text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "MAX_CONE", ENUMERATION_LIMIT)
+        if count <= ENUMERATION_LIMIT:
+            assert count == len(enumerate_Pk(level(aid, k)))
+        else:
+            code, text = cli.run_command(["modules", name, "--k", rational_str(k)])
+            assert code == 2 and f" has {count} weights, " in text
 
 
 def _patch_build_algebra(monkeypatch, replacement):

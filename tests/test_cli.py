@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walg import cli
+from walg import classify, cli
 from walg.cli import main, run_command
 
 
@@ -49,6 +49,12 @@ def test_modules_table_output():
     code, out = run_command(["modules", "spo2-3", "--k", "-1", "--w"])
     assert code == 0
     assert "ell0=free" in out and "ell0=1/4" in out and "ell0=1/2" in out
+    # both extremal weights have a two-point h set, written "x or k + 1 - x"
+    assert run_command(["modules", "spo2-3", "--k", "-1", "--affine"]) == (0, (
+        "spo2-3  k=-1  M=2\n"
+        "  nu=(0)  h=free  [generic]\n"
+        "  nu=(1)  h=-1/4 or 1/4  [extremal]\n"
+        "  nu=(2)  h=-1/2 or 1/2  [extremal]\n"))
 
 
 def test_modules_with_ledger_section():
@@ -90,6 +96,20 @@ def test_selfcheck_quick():
     assert "all pass" in out
 
 
+def test_selfcheck_text_names_each_failing_check(monkeypatch):
+    true_A = classify.A_value
+    monkeypatch.setattr(classify, "A_value", lambda lvl, nu: true_A(lvl, nu) + 1)
+    code, out = run_command(["selfcheck"])
+    *failures, summary = out.splitlines()
+    assert code == 1 and failures
+    assert all(line.startswith("[FAIL] zhu.module-list (") for line in failures)
+    assert (
+        "[FAIL] zhu.module-list (spo2-3 k=-1) the classified W-list matches the explicit "
+        "top-component list  expected [[[0], free], [[1], 1/4], [[2], 1/2]], "
+        "got [[[0], free], [[1], 5/4], [[2], 3/2]]") in failures
+    assert summary.startswith("selfcheck: ") and summary.endswith(f" checks, {len(failures)} FAILED")
+
+
 def test_selfcheck_json_mode():
     code, out = run_command(["selfcheck", "--json"])
     assert code == 0
@@ -104,7 +124,10 @@ def test_exit_code_2_on_usage_errors():
     assert run_command(["modules", "spo2-4", "--k", "-1"])[0] == 2
     assert run_command(["modules", "d21-4-2", "--k", "-1"])[0] == 2
     assert run_command(["unitary", "spo2-3", "--k", "-1", "--nu", "x", "--ell0", "0"])[0] == 2
-    assert run_command(["modules", "psl2-2", "--k", "-3/2"])[0] == 2  # off range
+    assert run_command(["modules", "psl2-2", "--k", "-3/2"]) == (
+        2, "walg: error: k = -3/2 is outside the unitarity range of psl2-2\n")
+    code, text = run_command(["modules", "spo2-3", "--k", "-1", "--max-records", "3"])
+    assert code == 2 and "unrecognized arguments: --max-records" in text
     assert run_command(["range", "psl2-2", "--k", "0.5"])[0] == 2     # no decimals
     code, text = run_command(["range", "f4", "--k", "1/0"])
     assert code == 2 and text == "walg: error: zero denominator in the rational '1/0'\n"
@@ -114,34 +137,19 @@ def test_exit_code_2_on_usage_errors():
 OVERSIZED = ["modules", "spo2-16", "--k", "-21"]
 
 
-@pytest.mark.parametrize("extra", [
-    ["--max-records", "100000"], [], ["--json"], ["--affine"], ["--ledger", "--json"],
-], ids=["100000", "default", "json", "affine", "ledger"])
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--affine"], ["--ledger", "--json"]],
+                         ids=["default", "json", "affine", "ledger"])
 def test_modules_refuses_an_oversized_cone_at_once(monkeypatch, extra):
-    def enumerated(lvl):  # a guard that let the cone through fails here, not in 21 M weights
-        raise AssertionError(f"modules enumerated the cone of {lvl.name} at k = {lvl.k}")
+    def walked(*args):  # a guard that let the cone through fails here, not in 21 M weights
+        raise AssertionError("modules walked the oversized cone")
 
-    for name in ("classify_w_modules", "classify_affine_modules", "run_level_ledger"):
-        monkeypatch.setattr(cli, name, enumerated)
+    monkeypatch.setattr(classify, "_walked_weight", walked)
     start = time.perf_counter()
     code, text = run_command(OVERSIZED + extra)
     elapsed = time.perf_counter() - start
     assert (code, text) == (2, "walg: error: the truncated cone of spo2-16 at k = -21 has "
-                               "21312720 weights, more than --max-records 100000\n")
+                               "21312720 weights, more than the 100000 that walg enumerates\n")
     assert elapsed < 1.0
-
-
-def test_max_records_bounds_the_document():
-    assert run_json(["modules", "spo2-3", "--k", "-1", "--json", "--max-records", "3"])[
-        "modules"] == run_json(["modules", "spo2-3", "--k", "-1", "--json"])["modules"]
-    code, text = run_command(["modules", "spo2-3", "--k", "-1", "--max-records", "2"])
-    assert code == 2 and "has 3 weights, more than --max-records 2" in text
-    for bad in ("-1", "1.5", "x", ""):
-        code, text = run_command(["modules", "spo2-3", "--k", "-1", f"--max-records={bad}"])
-        assert code == 2 and "argument --max-records: expected a nonnegative integer" in text
-    # the range check still comes first, with its own message
-    assert run_command(["modules", "psl2-2", "--k", "-3/2", "--max-records", "0"]) == (
-        2, "walg: error: k = -3/2 is outside the unitarity range of psl2-2\n")
 
 
 def test_help_is_returned_not_printed(capsys):

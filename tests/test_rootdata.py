@@ -23,19 +23,45 @@ def test_loader_requires_version_header(tmp_path, monkeypatch):
         load_positive_roots("d21", num_e=3, num_d=0)
 
 
-@pytest.mark.parametrize("line", [
-    "odd 2x(1)",
-    "even e(k) for 1<=i<=m",   # an index that is neither a literal nor i, j
-    "even e(i) for 1<=i<=x",   # a bound that is neither m nor a literal
-    "even 1/0e(1)",            # a zero denominator
-], ids=["bad-term", "unbound-index", "bad-bound", "zero-denominator"])
-def test_loader_rejects_malformed_lines(tmp_path, monkeypatch, line):
+@pytest.mark.parametrize("line,reason", [
+    ("odd 2x(1)", "cannot parse root expression '2x(1)'"),
+    # an index that is neither a literal nor i, j
+    ("even e(k) for 1<=i<=m", "invalid literal for int() with base 10: 'k'"),
+    # a bound that is neither m nor a literal
+    ("even e(i) for 1<=i<=x", "invalid literal for int() with base 10: 'x'"),
+    ("even 1/0e(1)", "Fraction(1, 0)"),
+    ("even e(1)xe(2)", "cannot parse root expression 'e(1)xe(2)'"),
+    ("even e(9)", "index e(9) out of range in 'e(9)'"),
+    ("even d(1)", "index d(1) out of range in 'd(1)'"),  # d21 has no d coordinates
+    ("weird e(1)", "expected a parity, even or odd, and an expression"),
+    ("even", "expected a parity, even or odd, and an expression"),
+    ("even e(i) for 1<i<=m", "bad range clause 'for 1<i<=m'"),
+], ids=["bad-term", "unbound-index", "bad-bound", "zero-denominator", "junk-between-terms",
+        "e-index-out-of-range", "d-index-out-of-range", "bad-parity", "no-expression",
+        "bad-range"])
+def test_loader_rejects_malformed_lines(tmp_path, monkeypatch, line, reason):
     target = tmp_path / "d21.roots"
     target.write_text(
         f"# walg positive-root data, format v1\n{line}\n", encoding="utf-8")
     monkeypatch.setenv("WALG_DATA_DIR", str(tmp_path))
-    with pytest.raises(RootDataError, match=re.escape(line)):
+    with pytest.raises(RootDataError,
+                       match=re.escape(f"bad root data line {line!r}: {reason}")):
         load_positive_roots("d21", num_e=3, num_d=0, m=3)
+
+
+def test_loader_requires_m_for_an_m_bound():
+    with pytest.raises(RootDataError, match=re.escape(
+            "bad root data line 'even e(i)-e(j) for 1<=i<j<=m': "
+            "root data uses the bound 'm' but no value was supplied")):
+        load_positive_roots("spo2-odd", num_e=1, num_d=1)
+
+
+def test_loader_reports_an_unreadable_override(tmp_path, monkeypatch):
+    (tmp_path / "f4.roots").mkdir()
+    monkeypatch.setenv("WALG_DATA_DIR", str(tmp_path))
+    with pytest.raises(RootDataError, match="^cannot read root data override "
+                                            + re.escape(str(tmp_path / "f4.roots"))):
+        load_positive_roots("f4", num_e=3, num_d=1)
 
 
 def test_missing_family():

@@ -680,6 +680,11 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     the rest stay open.  Conditions 1a and the sufficient margin test are
     flags of the level; 1b, extremality and A read the weight's comark
     values and threshold integers (see _extremal and A_value).
+
+    At ell0 = A(k, nu) inside the truncated cone, 1b and 1c cannot fire and
+    A(k, 0) = 0, so the weight enters only through its extremality and
+    whether it is the zero weight: classify_w_modules calls this once per
+    such class, and a test checks it against one call per weight.
     """
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
@@ -721,13 +726,22 @@ def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
     Non-extremal weights carry a free ell0 (their verdict is reported at the
     minimal unitary value ell0 = A; any larger ell0 gives the same verdict),
     extremal ones are pinned to ell0 = A(k, nu).
+
+    At ell0 = A the verdict reads the weight only through its extremality
+    and whether it is the zero weight (see unitarity_verdict), so it is
+    settled by one unitarity_verdict call per class, at most three per
+    level; the oracle test against a verdict per weight guards this.
     """
     out = []
+    verdicts: dict[tuple[bool, bool], Verdict] = {}
     for nu in enumerate_Pk(lvl):
         extremal = is_extremal(lvl, nu)
         threshold = A_value(lvl, nu)
         ell = threshold if extremal else None
-        verdict = unitarity_verdict(lvl, WModuleLabel(nu, threshold))
+        key = (extremal, nu.is_zero)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = unitarity_verdict(lvl, WModuleLabel(nu, threshold))
         out.append(WModuleRecord(nu, ell, extremal, threshold, verdict))
     return tuple(out)
 

@@ -17,8 +17,8 @@ from .affine import eta_membership_check, reflected_base, simple_root_set_json
 from .catalog import (AlgebraId, algebra_json, build_algebra, selfcheck_algebra)
 from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
                        WModuleLabel, affine_record_json, classify_affine_modules,
-                       classify_w_modules, cross_identity_report, hamiltonian_reduce,
-                       in_truncated_cone, in_unitarity_range, is_extremal,
+                       RangeError, classify_w_modules, cross_identity_report,
+                       hamiltonian_reduce, in_unitarity_range, is_extremal,
                        level, level_M, standard_levels, unitarity_verdict,
                        w_record_json)
 from .ledger import check_d21_cone, run_level_ledger
@@ -113,6 +113,7 @@ def _build_parser() -> _Parser:
                    help="include the level-dependent ledger and cross-identity grids")
     p.add_argument("--json", action="store_true")
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -230,11 +231,19 @@ def _cmd_unitary(args) -> tuple[int, str]:
         "k": rational_str(lvl.k),
         "nu": list(nu.coeffs),
         "ell0": rational_str(label.ell0),
-        "extremal": is_extremal(lvl, nu) if in_truncated_cone(lvl, nu) else None,
+        "extremal": _extremal_or_none(lvl, nu),
         "A": rational_str(A_value(lvl, nu)),
         "verdict": str(verdict),
     }
     return 0, _dump(payload)
+
+
+def _extremal_or_none(lvl: Level, nu: DominantWeight):
+    """is_extremal, or None outside the truncated cone."""
+    try:
+        return is_extremal(lvl, nu)
+    except RangeError:
+        return None
 
 
 def _cmd_reduce(args) -> tuple[int, str]:
@@ -340,7 +349,12 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     with its text."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_rational_values(list(argv)))
+        args, extra = parser.parse_known_args(_join_rational_values(list(argv)))
+        if extra:
+            # argparse hands a subcommand's unknown arguments back to the
+            # root parser; report them with the subcommand's own usage
+            owner = parser.commands.get(args.command, parser)
+            owner.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             raise _UsageError(parser.format_usage())
         return _COMMANDS[args.command](args)

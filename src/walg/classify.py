@@ -307,7 +307,7 @@ class DominantWeight:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)  # the coefficients are nonnegative ints
 
 
 def _walked_weight(aid: AlgebraId, coeffs: tuple[int, ...], comark_values: tuple[int, ...],

@@ -349,11 +349,13 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     with its text."""
     parser = _build_parser()
     try:
-        args, extra = parser.parse_known_args(_join_rational_values(list(argv)))
+        argv = _join_rational_values(list(argv))
+        args, extra = parser.parse_known_args(argv)
         if extra:
             # argparse hands a subcommand's unknown arguments back to the
-            # root parser; report them with the subcommand's own usage
-            owner = parser.commands.get(args.command, parser)
+            # root parser; the subcommand reports them, with its own usage,
+            # unless something precedes it (the root has no option but -h)
+            owner = parser.commands[args.command] if argv[:1] == [args.command] else parser
             owner.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             raise _UsageError(parser.format_usage())

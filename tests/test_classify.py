@@ -912,6 +912,51 @@ def test_cross_identities_reach_the_public_predicates(monkeypatch, name):
     assert all(calls.values()), calls
 
 
+# --- one verdict per class in classify_w_modules, against one per weight --
+
+def test_record_verdicts_match_a_verdict_per_weight():
+    """classify_w_modules settles one verdict per (extremal, zero weight)
+    class of a level; every record must read as the slow path, one
+    is_extremal, A_value and unitarity_verdict per weight, on the
+    selfcheck --all grid and the deep levels."""
+    levels = [*cli._selfcheck_levels(True), *(level(name, k) for name, k in DEEP_LEVELS)]
+    # every class occurs: a negative margin M_i(k) + chi_i makes the zero
+    # weight extremal, and some extremal verdict stays open
+    assert any(any(m < 0 for m in lvl._margins) for lvl in levels)
+    classes = set()
+    for lvl in levels:
+        for rec in classify_w_modules(lvl):
+            nu = rec.nu
+            extremal, threshold = is_extremal(lvl, nu), A_value(lvl, nu)
+            verdict = unitarity_verdict(lvl, WModuleLabel(nu, threshold))
+            assert ((rec.extremal, rec.threshold, rec.ell0, str(rec.verdict))
+                    == (extremal, threshold, threshold if extremal else None, str(verdict))), \
+                (lvl.name, lvl.k, nu.coeffs)
+            classes.add((extremal, nu.is_zero, str(verdict)))
+    assert {(True, True, "unitary"), (False, True, "unitary"),
+            (True, False, "open"), (True, False, "unitary"),
+            (False, False, "unitary")} <= classes, classes
+
+
+def test_classification_calls_one_verdict_per_class(monkeypatch):
+    """At f4, k = -82/3, classify_w_modules calls is_extremal and A_value
+    once per cone weight and unitarity_verdict at most once per class.
+    Counted through the classify module globals that the benchmark tracer
+    wraps; each unitarity_verdict call makes one A_value call of its own."""
+    calls = dict.fromkeys(("A_value", "is_extremal", "unitarity_verdict"), 0)
+    for fn in calls:
+        def counted(*args, _fn=fn, _true=getattr(classify, fn)):
+            calls[_fn] += 1
+            return _true(*args)
+        monkeypatch.setattr(classify, fn, counted)
+    lvl = level("f4", F(-82, 3))
+    cone = enumerate_Pk(lvl)
+    assert len(classify_w_modules(lvl)) == len(cone)
+    assert calls["is_extremal"] == len(cone)
+    assert 1 <= calls["unitarity_verdict"] <= 3
+    assert calls["A_value"] == len(cone) + calls["unitarity_verdict"]
+
+
 # --- the cone walk's facts and the cone count, against the slow paths ------
 
 def test_walk_and_count_match_the_slow_paths_on_the_selfcheck_grid():

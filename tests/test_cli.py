@@ -133,6 +133,48 @@ def test_exit_code_2_on_usage_errors():
     assert code == 2 and text == "walg: error: zero denominator in the rational '1/0'\n"
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["modules", "spo2-3", "--k", "-1", "--bogus"], "usage: walg modules [-h] --k K"),
+    (["unitary", "spo2-3", "--k", "-1", "--nu", "1", "--ell0", "1/4", "--bogus"],
+     "usage: walg unitary [-h] --k K --nu NU --ell0 ELL0"),
+    (["--bogus"], "usage: walg [-h] command"),
+    (["--bogus", "modules", "spo2-3", "--k", "-1"], "usage: walg [-h] command"),
+], ids=["modules", "unitary", "top-level", "before-modules"])
+def test_unknown_arguments_name_their_command(argv, usage):
+    """An unknown argument after a subcommand is reported by that
+    subcommand, with its usage; before any subcommand, by walg itself."""
+    code, text = run_command(argv)
+    prog = "walg" if argv[0] == "--bogus" else f"walg {argv[0]}"
+    assert code == 2
+    message, usage_line = text.splitlines()
+    assert message == f"{prog}: error: unrecognized arguments: --bogus"
+    assert usage_line.startswith(usage)
+
+
+def test_unitary_reads_extremality_once(monkeypatch):
+    """walg unitary takes the payload's extremal from one is_extremal call
+    (None outside the truncated cone), so the comark values are put against
+    the levels twice per query: there and in unitarity_verdict."""
+    extremal_calls, placements = [], []
+
+    def counted_is_extremal(lvl, nu, _true=cli.is_extremal):
+        extremal_calls.append(nu.coeffs)
+        return _true(lvl, nu)
+
+    def counted_extremal(lvl, nu, _true=classify._extremal):
+        placements.append(nu.coeffs)
+        return _true(lvl, nu)
+
+    monkeypatch.setattr(cli, "is_extremal", counted_is_extremal)
+    monkeypatch.setattr(classify, "_extremal", counted_extremal)
+    answers = [json.loads(run_command(["unitary", "spo2-3", "--k", "-1", "--nu", nu,
+                                       "--ell0", "1/4"])[1]) for nu in ("0", "1", "9")]
+    assert [(a["extremal"], a["verdict"]) for a in answers] == [
+        (False, "unitary"), (True, "unitary"), (None, "not_unitary:1b")]
+    assert extremal_calls == [(0,), (1,), (9,)]
+    assert placements == [(0,), (0,), (1,), (1,), (9,), (9,)]
+
+
 # spo2-16 at k = -21 (q0 + 40): 21,312,720 weights in the truncated cone
 OVERSIZED = ["modules", "spo2-16", "--k", "-21"]
 

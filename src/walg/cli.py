@@ -226,24 +226,20 @@ def _cmd_unitary(args) -> tuple[int, str]:
     nu = _parse_nu(lvl.alg, args.nu)
     label = WModuleLabel(nu, rational(args.ell0))
     verdict = unitarity_verdict(lvl, label)
+    try:
+        extremal = is_extremal(lvl, nu)
+    except RangeError:  # outside the truncated cone
+        extremal = None
     payload = {
         "algebra": lvl.name,
         "k": rational_str(lvl.k),
         "nu": list(nu.coeffs),
         "ell0": rational_str(label.ell0),
-        "extremal": _extremal_or_none(lvl, nu),
+        "extremal": extremal,
         "A": rational_str(A_value(lvl, nu)),
         "verdict": str(verdict),
     }
     return 0, _dump(payload)
-
-
-def _extremal_or_none(lvl: Level, nu: DominantWeight):
-    """is_extremal, or None outside the truncated cone."""
-    try:
-        return is_extremal(lvl, nu)
-    except RangeError:
-        return None
 
 
 def _cmd_reduce(args) -> tuple[int, str]:

@@ -16,11 +16,11 @@ from . import __version__
 from .affine import eta_membership_check, reflected_base, simple_root_set_json
 from .catalog import (AlgebraId, algebra_json, build_algebra, selfcheck_algebra)
 from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
-                       WModuleLabel, affine_record_json, classify_affine_modules,
-                       RangeError, classify_w_modules, cross_identity_report,
-                       hamiltonian_reduce, in_unitarity_range, is_extremal,
-                       level, level_M, standard_levels, unitarity_verdict,
-                       w_record_json)
+                       RangeError, WModuleLabel, affine_record_json,
+                       classify_affine_modules, classify_w_modules,
+                       cross_identity_report, hamiltonian_reduce, in_unitarity_range,
+                       is_extremal, level, level_M, standard_levels,
+                       unitarity_verdict, w_record_json)
 from .ledger import check_d21_cone, run_level_ledger
 from .report import Report
 from .scalars import rational, rational_str

@@ -33,6 +33,8 @@ from .classify import (Level, DominantWeight, AffineModuleLabel, WModuleLabel,
 from .ledger import (check_singular_weights, check_affine_pairings,
                      check_d21_cone, check_zhu_consequences, run_level_ledger)
 from .report import CheckEntry, Report
-from .cli import run_command
+from .cli import run_command  # also binds walg.cli, which the benchmark tracer wraps
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that the imports bind
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, type(cli)))]

@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
                        help="W-labels (nu, ell0); the default")
     p.add_argument("--json", action="store_true")
     p.add_argument("--ledger", action="store_true",
-                   help="append the ledger report section to the JSON catalog")
+                   help="the level's ledger (JSON section or text summary); exit 1 on failure")
 
     p = sub.add_parser("unitary", help="three-valued unitarity verdict for one W-label")
     p.add_argument("algebra")
@@ -127,10 +127,10 @@ def _parse_nu(alg, text: str) -> DominantWeight:
 
 def _dump(payload) -> str:
     """The bytes of json.dumps(payload, indent=2) + "\\n", the one writer of
-    every CLI document (see docs/schema.md).  With an indent, json.dumps
-    runs its pure-Python encoder; this writer joins strings, looks up str,
-    int, bool and None leaves by exact type, and leaves any other leaf (a
-    float, a subclass of str or int, or a refusal) to json.dumps itself."""
+    every CLI document (see docs/schema.md).  It writes what walg's
+    documents hold: str, int, bool and None leaves in lists and in dicts
+    keyed by str, each matched by exact type; any other value raises
+    TypeError."""
     return _encode(payload, "\n") + "\n"
 
 
@@ -140,31 +140,23 @@ _LEAVES = {str: _escape, int: int.__repr__, bool: _WORDS, type(None): _WORDS}
 
 
 def _encode(value, newline: str) -> str:
-    leaf = _LEAVES.get(type(value))
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
     if leaf is not None:
         return leaf(value)
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
+    if kind is list:
         if not value:
             return "[]"
         items = [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
-        items = [_escape(k if type(k) is str else _key(k)) + ": " + _encode(v, inner)
-                 for k, v in value.items()]
+        # encode_basestring_ascii refuses a key that is not a str
+        items = [_escape(k) + ": " + _encode(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(value)
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)  # json's coercion: 1, 1.5, NaN, true, null
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+    raise TypeError(f"a walg document holds no {kind.__name__}")
 
 
 def _catalog_header(lvl: Level) -> dict:
@@ -204,10 +196,13 @@ def _cmd_modules(args) -> tuple[int, str]:
         payload["positive_energy_complete"] = True
         records = [w_record_json(r) for r in classify_w_modules(lvl)]
     payload["modules"] = records
+    code = 0
     if args.ledger:
-        payload["ledger"] = run_level_ledger(lvl).to_json()
+        ledger = run_level_ledger(lvl)
+        payload["ledger"] = ledger.to_json()
+        code = 0 if ledger.all_pass else 1
     if args.json:
-        return 0, _dump(payload)
+        return code, _dump(payload)
     lines = [f"{payload['algebra']}  k={payload['k']}  M={','.join(payload['M'])}"]
     for rec in records:
         nu = ",".join(str(c) for c in rec["nu_coeffs"])
@@ -218,7 +213,9 @@ def _cmd_modules(args) -> tuple[int, str]:
         else:
             lines.append(f"  nu=({nu})  ell0={rec['ell0']}  A={rec['A']}"
                          f"  [{kind}]  {rec['unitarity']}")
-    return 0, "\n".join(lines) + "\n"
+    if args.ledger:
+        lines += _failures_and_summary("ledger", ledger)
+    return code, "\n".join(lines) + "\n"
 
 
 def _cmd_unitary(args) -> tuple[int, str]:
@@ -310,6 +307,7 @@ def _selfcheck_report(run_all: bool) -> Report:
 
 def _cmd_selfcheck(args) -> tuple[int, str]:
     report = _selfcheck_report(args.all)
+    code = 0 if report.all_pass else 1
     if args.json:
         payload = {
             "tool": "walg",
@@ -318,13 +316,15 @@ def _cmd_selfcheck(args) -> tuple[int, str]:
             "pass": report.all_pass,
             "entries": report.to_json(),
         }
-        return (0 if report.all_pass else 1), _dump(payload)
-    lines = []
-    for entry in report.failures():
-        lines.append(entry.line())
-    status = "all pass" if report.all_pass else f"{len(report.failures())} FAILED"
-    lines.append(f"selfcheck: {len(report.entries)} checks, {status}")
-    return (0 if report.all_pass else 1), "\n".join(lines) + "\n"
+        return code, _dump(payload)
+    return code, "\n".join(_failures_and_summary("selfcheck", report)) + "\n"
+
+
+def _failures_and_summary(name: str, report: Report) -> list[str]:
+    """The text-mode lines of a report: each failing entry, then a count."""
+    failures = report.failures()
+    status = f"{len(failures)} FAILED" if failures else "all pass"
+    return [e.line() for e in failures] + [f"{name}: {len(report.entries)} checks, {status}"]
 
 
 _COMMANDS = {

@@ -11,23 +11,21 @@ __all__ = ["CheckEntry", "Report", "render_value"]
 
 
 def render_value(value) -> str:
-    """Deterministic string form of a check result (rationals as ``p/q``)."""
-    if isinstance(value, bool):
+    """Deterministic string form of a check value: bools, rationals as ``p/q``,
+    str, and tuples, lists and weights as ``[a, b]``; other types raise."""
+    kind = type(value)
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
+    if kind is Fraction or kind is int:
         return rational_str(value)
-    if isinstance(value, str):
+    if kind is str:
         return value
-    if isinstance(value, (tuple, list, frozenset, set)):
-        items = list(value)
-        if isinstance(value, (frozenset, set)):
-            items = sorted(items)
-        return "[" + ", ".join(render_value(v) for v in items) + "]"
-    if value is None:
-        return ""
-    if hasattr(value, "coords"):
-        return render_value(tuple(value.coords))
-    return str(value)
+    if kind is tuple or kind is list:
+        return "[" + ", ".join(map(render_value, value)) + "]"
+    from .catalog import Weight  # catalog imports this module
+    if kind is Weight:
+        return render_value(value.coords)
+    raise TypeError(f"a check value is never a {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class Report:
     entries: list[CheckEntry] = field(default_factory=list)
 
     def add(self, check_id: str, *, algebra: str = "", k=None, formula: str = "",
-            expected=None, computed=None) -> bool:
+            expected, computed) -> bool:
         passed = expected == computed
         self.entries.append(CheckEntry(
             check_id=check_id,

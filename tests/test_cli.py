@@ -3,12 +3,16 @@ import os
 import subprocess
 import sys
 import time
+import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walg
 from walg import classify, cli
 from walg.cli import main, run_command
+from walg.report import Report
 
 
 def run_json(argv):
@@ -60,6 +64,36 @@ def test_modules_table_output():
 def test_modules_with_ledger_section():
     data = run_json(["modules", "spo2-3", "--k", "-1", "--w", "--json", "--ledger"])
     assert all(e["pass"] for e in data["ledger"])
+
+
+def _ledger_with_one_failure(lvl):
+    report = Report()
+    report.add("fake.pass", algebra=lvl.name, k=lvl.k, formula="1 = 1", expected=1, computed=1)
+    report.add("fake.fail", algebra=lvl.name, k=lvl.k, formula="1 = 2", expected=1, computed=2)
+    return report
+
+
+def test_modules_ledger_failure_exits_1_with_the_same_document(monkeypatch):
+    argv = ["modules", "psl2-2", "--k", "-2", "--json", "--ledger"]
+    passing = run_json(argv)
+    monkeypatch.setattr(cli, "run_level_ledger", _ledger_with_one_failure)
+    code, out = run_command(argv)
+    assert code == 1
+    failing = json.loads(out)
+    fake = _ledger_with_one_failure(classify.level("psl2-2", -2))
+    assert failing.pop("ledger") == fake.to_json()
+    passing.pop("ledger")
+    assert failing == passing
+
+
+def test_modules_ledger_text_ends_with_a_summary(monkeypatch):
+    table = run_command(["modules", "psl2-2", "--k", "-2"])[1]
+    argv = ["modules", "psl2-2", "--k", "-2", "--ledger"]
+    assert run_command(argv) == (0, table + "ledger: 8 checks, all pass\n")
+    monkeypatch.setattr(cli, "run_level_ledger", _ledger_with_one_failure)
+    assert run_command(argv) == (1, table + (
+        "[FAIL] fake.fail (psl2-2 k=-2) 1 = 2  expected 1, got 2\n"
+        "ledger: 2 checks, 1 FAILED\n"))
 
 
 def test_unitary_command():
@@ -293,15 +327,12 @@ class _List(list):
     pass
 
 
-# subclasses whose own str() and repr() json does not call
 class _Str(str):
-    def __str__(self):
-        return "not json"
+    pass
 
 
 class _Int(int):
-    def __repr__(self):
-        return "not json"
+    pass
 
 
 # non-ASCII (with a lone surrogate and an astral character), control
@@ -309,20 +340,14 @@ class _Int(int):
 TEXT = st.one_of(st.text(max_size=6),
                  st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600a',
                          max_size=6))
-LEAVES = st.one_of(
-    TEXT, st.none(), st.booleans(),
-    st.integers(), st.integers(-2**200, 2**200),
-    st.floats(),  # nan, inf and -inf included
-    TEXT.map(_Str), st.integers().map(_Int),
-    st.sampled_from([[], (), {}, _List(), _Dict()]))
-KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none(),
-                 TEXT.map(_Str), st.integers().map(_Int))
+# the types of walg's documents: str, int, bool and None leaves in lists
+# and str-keyed dicts
+LEAVES = st.one_of(TEXT, st.none(), st.booleans(),
+                   st.integers(), st.integers(-2**200, 2**200),
+                   st.sampled_from([[], {}]))
 JSON_VALUES = st.recursive(LEAVES, lambda children: st.one_of(
     st.lists(children, max_size=4),
-    st.lists(children, max_size=4).map(tuple),
-    st.lists(children, max_size=4).map(_List),
-    st.dictionaries(KEYS, children, max_size=4),
-    st.dictionaries(KEYS, children, max_size=4).map(_Dict)), max_leaves=24)
+    st.dictionaries(TEXT, children, max_size=4)), max_leaves=24)
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,14 +356,29 @@ def test_writer_gives_the_bytes_of_json_dumps(value):
     assert cli._dump(value) == json.dumps(value, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [[object()], {"a": {1, 2}}, {(1, 2): 0}, 1j],
-                         ids=["object", "set", "tuple-key", "complex"])
-def test_writer_refuses_what_json_refuses(value):
-    with pytest.raises(TypeError) as want:
+@pytest.mark.parametrize("value, kind", [
+    ([object()], "object"), ({"a": {1, 2}}, "set"), ({(1, 2): 0}, "tuple"),
+    (1j, "complex"), ([Fraction(1, 2)], "Fraction")],
+    ids=["object", "set", "tuple-key", "complex", "fraction"])
+def test_writer_refuses_what_json_refuses(value, kind):
+    with pytest.raises(TypeError):
         json.dumps(value, indent=2)
-    with pytest.raises(TypeError) as got:
+    with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         cli._dump(value)
-    assert str(got.value) == str(want.value)
+
+
+# json writes each of these; no walg document holds one
+@pytest.mark.parametrize("value, kind", [
+    (1.5, "float"), ([float("nan")], "float"), ({"a": [float("inf")]}, "float"),
+    ((1, 2), "tuple"), ({"a": ()}, "tuple"),
+    (_Str("a"), "_Str"), ([_Int(1)], "_Int"), (_List(), "_List"), ({"a": _Dict()}, "_Dict"),
+    ({1: 0}, "int"), ({None: 0}, "NoneType"), ({"a": {True: 0}}, "bool")],
+    ids=["float", "nan", "inf", "tuple", "empty-tuple", "str-subclass", "int-subclass",
+         "list-subclass", "dict-subclass", "int-key", "none-key", "bool-key"])
+def test_writer_refuses_what_walg_never_writes(value, kind):
+    json.dumps(value, indent=2)
+    with pytest.raises(TypeError, match=rf"\b{kind}\b"):
+        cli._dump(value)
 
 
 def test_repeat_invocations_are_deterministic():
@@ -352,10 +392,13 @@ def test_data_dir_override(tmp_path):
     (tmp_path / "g3.roots").write_text(
         "# walg positive-root data, format v1\neven 2d(1)\n", encoding="utf-8")
     env = dict(os.environ, WALG_DATA_DIR=str(tmp_path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "walg.cli", "selfcheck"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 1
+    proc = subprocess.run([sys.executable, "-m", "walg", "selfcheck"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    # a failing run writes its report to stderr, and nothing else
+    *failures, summary = proc.stderr.splitlines()
+    assert failures and all(line.startswith("[FAIL] catalog.") for line in failures)
+    assert summary.startswith("selfcheck: ") and summary.endswith(f" checks, {len(failures)} FAILED")
 
 
 def test_python_m_walg_runs_the_cli_cleanly():
@@ -366,9 +409,22 @@ def test_python_m_walg_runs_the_cli_cleanly():
     assert proc.stdout.endswith("all pass\n")
 
 
-def test_console_entry_point():
+def test_star_import_binds_no_submodule():
+    assert not [name for name in walg.__all__
+                if isinstance(getattr(walg, name), types.ModuleType)]
+    assert {"run_command", "Report", "level", "rational"} <= set(walg.__all__)
+    # the benchmark tracer wraps the functions of sys.modules["walg.cli"]
     proc = subprocess.run(
-        [sys.executable, "-m", "walg.cli", "info", "psl2-2"],
+        [sys.executable, "-c", "import sys, walg; print('walg.cli' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.stdout == "True\n"
+
+
+def test_console_entry_point():
+    # the target of the installed `walg` script, walg.cli:main
+    proc = subprocess.run(
+        [sys.executable, "-c", "from walg.cli import main; main()", "info", "psl2-2"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["h_check"] == "0"

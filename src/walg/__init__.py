@@ -18,9 +18,9 @@ from .catalog import (FamilySpec, FAMILY_TABLE, AlgebraId, Weight, Root,
                       selfcheck_algebra, expected_h_check, expected_chi,
                       algebra_json)
 from .affine import (AffineWeight, AffineRoot, SimpleRootSet, ReflectionError,
-                     affine_pair, affine_coroot_pair, finite_part,
-                     affine_simple_roots, odd_reflect, reflected_base,
-                     eta_membership_check, simple_root_set_json)
+                     affine_pair, affine_coroot_pair, affine_simple_roots,
+                     odd_reflect, reflected_base, eta_membership_check,
+                     simple_root_set_json)
 from .classify import (Level, DominantWeight, AffineModuleLabel, WModuleLabel,
                        Verdict, CriticalLevelError, RangeError, level,
                        in_unitarity_range, level_M, table_M, enumerate_Pk,

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import (AlgebraData, AlgebraMismatchError, IsotropyError,
-                      Weight, pair, weight_json)
+from .catalog import AlgebraData, IsotropyError, Weight, pair, weight_json
 from .report import Report
 from .scalars import rational
 
@@ -32,8 +31,6 @@ __all__ = [
     "ReflectionError",
     "affine_pair",
     "affine_coroot_pair",
-    "finite_part",
-    "zero_weight",
     "affine_simple_roots",
     "odd_reflect",
     "reflected_base",
@@ -46,13 +43,10 @@ class ReflectionError(ValueError):
     """Odd reflection requested at a root that is not odd isotropic in the base."""
 
 
-def zero_weight(alg: AlgebraData) -> Weight:
-    return Weight(alg.id, [0] * alg.id.dim)
-
-
 @dataclass(frozen=True)
 class AffineWeight:
-    """finite + c_lambda0 * Lambda_0 + c_delta * delta, all exact."""
+    """finite + c_lambda0 * Lambda_0 + c_delta * delta, all exact.  The
+    finite parts refuse to mix two algebras (AlgebraMismatchError)."""
 
     finite: Weight
     c_lambda0: Fraction = Fraction(0)
@@ -64,23 +58,12 @@ class AffineWeight:
         if type(self.c_delta) is not Fraction:
             object.__setattr__(self, "c_delta", rational(self.c_delta))
 
-    @property
-    def algebra(self):
-        return self.finite.algebra
-
-    def _check(self, other: "AffineWeight"):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError(
-                f"cannot combine {self.algebra} and {other.algebra} affine weights")
-
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check(other)
         return AffineWeight(self.finite + other.finite,
                             self.c_lambda0 + other.c_lambda0,
                             self.c_delta + other.c_delta)
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check(other)
         return AffineWeight(self.finite - other.finite,
                             self.c_lambda0 - other.c_lambda0,
                             self.c_delta - other.c_delta)
@@ -95,15 +78,9 @@ class AffineWeight:
     __rmul__ = __mul__
 
 
-def finite_part(w: Weight) -> AffineWeight:
-    return AffineWeight(w)
-
-
 def affine_pair(a: AffineWeight, b: AffineWeight) -> Fraction:
     """Bilinear form with (Lambda_0|Lambda_0) = (delta|delta) = 0 and
     (Lambda_0|delta) = 1, both orthogonal to finite weights."""
-    if a.algebra != b.algebra:
-        raise AlgebraMismatchError(f"cannot pair {a.algebra} with {b.algebra}")
     return pair(a.finite, b.finite) + a.c_lambda0 * b.c_delta + a.c_delta * b.c_lambda0
 
 
@@ -145,7 +122,7 @@ def affine_coroot_pair(w: AffineWeight, alpha) -> Fraction:
 def affine_simple_roots(alg: AlgebraData) -> SimpleRootSet:
     """The base {alpha_0 = delta - theta, alpha_1, ...} in catalog order."""
     alpha0 = AffineRoot(AffineWeight(-alg.theta, 0, 1), "even")
-    rest = tuple(AffineRoot(finite_part(r.weight), r.parity) for r in alg.simple_roots)
+    rest = tuple(AffineRoot(AffineWeight(r.weight), r.parity) for r in alg.simple_roots)
     return (alpha0,) + rest
 
 

@@ -264,8 +264,8 @@ FAMILY_TABLE: tuple[FamilySpec, ...] = (
         proven_at_threshold=lambda k: False),
 )
 
-_NAME_PATTERNS = tuple((re.compile(re.escape(spec.family) + r"-(\d+)" * spec.params), spec.family)
-                       for spec in FAMILY_TABLE)
+_NAME_PATTERNS = tuple((re.compile(re.escape(spec.family) + "-([0-9]+)" * spec.params),
+                        spec.family) for spec in FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -377,10 +377,6 @@ class Root:
     @property
     def is_odd(self) -> bool:
         return self.parity == "odd"
-
-    def is_isotropic(self) -> bool:
-        # derived, never stored
-        return pair(self.weight, self.weight) == 0
 
 
 @dataclass(frozen=True)
@@ -587,8 +583,8 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
     for i in range(alg.summands):
         rep.add(f"catalog.gamma-decomposition[{i + 1}]", algebra=name,
                 formula="theta - gamma_1 - gamma_2 = -theta_i",
-                expected=-alg.theta_i[i],
-                computed=alg.theta - alg.gamma1[i] - alg.gamma2[i])
+                expected=(-alg.theta_i[i]).coords,
+                computed=(alg.theta - alg.gamma1[i] - alg.gamma2[i]).coords)
 
     odd_pos = [r.weight for r in alg.positive_roots if r.is_odd]
     gammas_listed = all(g in odd_pos for g in alg.gamma1 + alg.gamma2)

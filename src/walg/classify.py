@@ -133,14 +133,6 @@ class Level:
         return tuple(map(floor, self.M)), tuple(map(floor, self._margins))
 
     @cached_property
-    def _levels_integral(self) -> bool:  # every M_i(k) a nonnegative integer
-        return all(m.denominator == 1 and m >= 0 for m in self.M)
-
-    @cached_property
-    def _margins_integral(self) -> bool:  # every M_i(k) + chi_i likewise
-        return all(m.denominator == 1 and m >= 0 for m in self._margins)
-
-    @cached_property
     def _A_consts(self) -> tuple[int, int, int, int]:
         # A = (u Q + X (v X - w)) / den for the integers Q and X of a weight
         # (see A_value): with k = p/q and h_check = a/b, u = q b D, v = 2 q b,
@@ -677,9 +669,9 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     The vacuum label (0, 0) is unitary on the whole range (that is what the
     range asserts), and extremal labels at the threshold are settled only for
     psl2-2, spo2-3, and spo2-m at k = -1 (the row's proven_at_threshold);
-    the rest stay open.  Conditions 1a and the sufficient margin test are
-    flags of the level; 1b, extremality and A read the weight's comark
-    values and threshold integers (see _extremal and A_value).
+    the rest stay open.  Condition 1a and the sufficient margin test read
+    the level alone; 1b, extremality and A read the weight's comark values
+    and threshold integers (see _extremal and A_value).
 
     At ell0 = A(k, nu) inside the truncated cone, 1b and 1c cannot fire and
     A(k, 0) = 0, so the weight enters only through its extremality and
@@ -689,7 +681,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
     _require_range(lvl)
-    if not lvl._levels_integral:
+    if not all(m.denominator == 1 and m >= 0 for m in lvl.M):
         return not_unitary("1a")
     extremal = _extremal(lvl, label.nu)
     if extremal is None:
@@ -700,7 +692,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        return UNITARY if lvl._margins_integral else OPEN
+        margins_integral = all(m.denominator == 1 and m >= 0 for m in lvl._margins)
+        return UNITARY if margins_integral else OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import __version__
@@ -32,6 +33,7 @@ SELFCHECK_ALGEBRAS = (
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 class _UsageError(Exception):
@@ -118,11 +120,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse_nu(alg, text: str) -> DominantWeight:
-    try:
-        coeffs = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--nu expects comma-separated integers, got {text!r}") from exc
-    return DominantWeight(alg.id, coeffs)
+    parts = [part.strip() for part in text.split(",")]
+    # int() alone would also read "1_0" and "٣"
+    if not all(map(_INTEGER_TEXT.fullmatch, parts)):
+        raise _UsageError(f"--nu expects comma-separated integers, got {text!r}")
+    return DominantWeight(alg.id, tuple(map(int, parts)))
 
 
 def _dump(payload) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .affine import AffineWeight, affine_coroot_pair, affine_pair, finite_part
+from .affine import AffineWeight, affine_coroot_pair, affine_pair
 from .catalog import coroot_pair
 from .classify import (A_value, DominantWeight, Level, _ambient_constants,
                        classify_w_modules, enumerate_Pk, first_failure,
@@ -80,13 +80,13 @@ def check_affine_pairings(lvl: Level) -> Report:
     M = level_M(lvl)
     fermionic = alg.id.spec.fermionic_generator
 
-    alpha1 = finite_part(alg.alpha1)
-    theta = finite_part(alg.theta)
+    alpha1 = AffineWeight(alg.alpha1)
+    theta = AffineWeight(alg.theta)
     delta = AffineWeight(0 * alg.theta, 0, 1)
     k_lambda0 = AffineWeight(0 * alg.theta, k, 0)
     lam_prime = k_lambda0 - delta + theta - alpha1
     alpha0 = delta - theta
-    etas = [delta - finite_part(t) for t in alg.theta_i]
+    etas = [delta - AffineWeight(t) for t in alg.theta_i]
 
     for i, (theta_i, eta) in enumerate(zip(alg.theta_i, etas)):
         rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,

@@ -12,7 +12,7 @@ __all__ = ["CheckEntry", "Report", "render_value"]
 
 def render_value(value) -> str:
     """Deterministic string form of a check value: bools, rationals as ``p/q``,
-    str, and tuples, lists and weights as ``[a, b]``; other types raise."""
+    str, and tuples and lists as ``[a, b]``; other types raise."""
     kind = type(value)
     if kind is bool:
         return "true" if value else "false"
@@ -22,9 +22,6 @@ def render_value(value) -> str:
         return value
     if kind is tuple or kind is list:
         return "[" + ", ".join(map(render_value, value)) + "]"
-    from .catalog import Weight  # catalog imports this module
-    if kind is Weight:
-        return render_value(value.coords)
     raise TypeError(f"a check value is never a {kind.__name__}")
 
 

@@ -29,9 +29,10 @@ __all__ = ["load_positive_roots", "RootDataError", "DATA_ENV_VAR", "FORMAT_HEADE
 DATA_ENV_VAR = "WALG_DATA_DIR"
 FORMAT_HEADER = "# walg positive-root data, format v1"
 
-_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?([ed])\((\w)\)")
+_TERM = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?([ed])\((\w)\)")
 _RANGE_PAIR = re.compile(r"^for 1<=i<j<=(\w+)$")
 _RANGE_SINGLE = re.compile(r"^for 1<=i<=(\w+)$")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class RootDataError(ValueError):
@@ -67,7 +68,7 @@ def _parse_terms(expr: str, num_e: int, num_d: int, env: dict[str, int]) -> Vect
         value = Fraction(coef) if coef else Fraction(1)
         if sign == "-":
             value = -value
-        t = env[idx] if idx in env else int(idx)
+        t = env[idx] if idx in env else _literal(idx)
         if kind == "e":
             if not 1 <= t <= num_e:
                 raise RootDataError(f"index e({t}) out of range in {expr!r}")
@@ -86,7 +87,16 @@ def _bound(token: str, m: int | None) -> int:
         if m is None:
             raise RootDataError("root data uses the bound 'm' but no value was supplied")
         return m
-    return int(token)
+    return _literal(token)
+
+
+def _literal(token: str) -> int:
+    """An index or bound written in ASCII digits; int() alone would also
+    read "1_0" and "٣"."""
+    value = int(token)  # a letter fails here, naming itself
+    if not _DIGITS.fullmatch(token):
+        raise RootDataError(f"not an integer in ASCII digits: {token!r}")
+    return value
 
 
 def _line_roots(line: str, num_e: int, num_d: int, m: int | None) -> list[tuple[str, Vector]]:

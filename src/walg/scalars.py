@@ -41,7 +41,8 @@ class SingularMatrixError(ValueError):
         self.rank = rank
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: Fraction() alone would also read "1_0" and "٣"
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def rational(value: RationalLike) -> Fraction:

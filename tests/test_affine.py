@@ -4,8 +4,8 @@ import pytest
 
 from walg.affine import (AffineRoot, AffineWeight, ReflectionError,
                          affine_coroot_pair, affine_pair, affine_simple_roots,
-                         eta_membership_check, finite_part, odd_reflect,
-                         reflected_base, simple_root_set_json, zero_weight)
+                         eta_membership_check, odd_reflect, reflected_base,
+                         simple_root_set_json)
 from walg.catalog import (AlgebraId, AlgebraMismatchError, IsotropyError,
                           Weight, build_algebra)
 
@@ -19,14 +19,14 @@ def alg(name):
 
 def test_pairing_conventions():
     a = alg("spo2-3")
-    zero = zero_weight(a)
+    zero = Weight(a.id, [0] * a.id.dim)
     lam0 = AffineWeight(zero, 1, 0)
     delta = AffineWeight(zero, 0, 1)
     assert affine_pair(lam0, lam0) == 0
     assert affine_pair(delta, delta) == 0
     assert affine_pair(lam0, delta) == 1
-    assert affine_pair(lam0, finite_part(a.theta)) == 0
-    assert affine_pair(delta, finite_part(a.theta)) == 0
+    assert affine_pair(lam0, AffineWeight(a.theta)) == 0
+    assert affine_pair(delta, AffineWeight(a.theta)) == 0
 
 
 @pytest.mark.parametrize("name,k,h", [("spo2-3", F(-1), F(2, 3)),
@@ -44,7 +44,7 @@ def test_alpha0_pairing_is_k_minus_2h(name, k, h):
 def test_vacuum_norm_vanishes():
     a = alg("f4")
     k = F(-4, 3)
-    k_lam0 = AffineWeight(zero_weight(a), k, 0)
+    k_lam0 = AffineWeight(Weight(a.id, [0] * a.id.dim), k, 0)
     rho_hat = AffineWeight(a.rho, a.h_check, 0)
     assert affine_pair(k_lam0, k_lam0 + 2 * rho_hat) == 0
 
@@ -108,7 +108,7 @@ def test_reflect_errors():
         odd_reflect(pi, pi[0])          # alpha_0 is even
     with pytest.raises(ReflectionError):
         odd_reflect(pi[:1] + pi[2:], pi[1])   # beta must belong to the base
-    stray = AffineRoot(finite_part(a.theta_i[0]), "odd")
+    stray = AffineRoot(AffineWeight(a.theta_i[0]), "odd")
     with pytest.raises(ReflectionError):
         odd_reflect(pi, stray)
     with pytest.raises(ReflectionError, match="^odd reflection needs an isotropic root$"):
@@ -116,9 +116,11 @@ def test_reflect_errors():
 
 
 def test_affine_weights_of_two_algebras_do_not_mix():
-    f4, g3 = finite_part(alg("f4").theta), finite_part(alg("g3").theta)
-    with pytest.raises(AlgebraMismatchError, match="^cannot combine f4 and g3 affine weights$"):
+    f4, g3 = AffineWeight(alg("f4").theta), AffineWeight(alg("g3").theta)
+    with pytest.raises(AlgebraMismatchError, match="^cannot combine f4 and g3 weights$"):
         f4 + g3
+    with pytest.raises(AlgebraMismatchError, match="^cannot combine f4 and g3 weights$"):
+        f4 - g3
     with pytest.raises(AlgebraMismatchError, match="^cannot pair f4 with g3$"):
         affine_pair(f4, g3)
 
@@ -128,7 +130,7 @@ def test_affine_coroot_pair_rejects_isotropic():
     alpha1 = affine_simple_roots(a)[1]
     with pytest.raises(IsotropyError,
                        match="^coroot pairing against an isotropic affine root$"):
-        affine_coroot_pair(finite_part(a.theta), alpha1)
+        affine_coroot_pair(AffineWeight(a.theta), alpha1)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -161,9 +163,10 @@ def test_simple_root_set_json_shape():
 
 def test_affine_root_validation():
     a = alg("g3")
+    zero = Weight(a.id, [0] * a.id.dim)
     with pytest.raises(ValueError):
-        AffineRoot(AffineWeight(zero_weight(a), 1, 0), "even")  # Lambda_0 part
+        AffineRoot(AffineWeight(zero, 1, 0), "even")  # Lambda_0 part
     with pytest.raises(ValueError):
-        AffineRoot(AffineWeight(zero_weight(a), 0, F(1, 2)), "even")  # fractional delta
+        AffineRoot(AffineWeight(zero, 0, F(1, 2)), "even")  # fractional delta
     with pytest.raises(ValueError, match="^parity must be 'even' or 'odd', got 'x'$"):
-        AffineRoot(finite_part(a.theta), "x")
+        AffineRoot(AffineWeight(a.theta), "x")

@@ -302,6 +302,24 @@ def test_parser_is_not_built_at_import():
     assert proc.stdout.strip() == "0"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["unitary", "spo2-3", "--k", "-1", "--nu", "1_0", "--ell0", "1/2"],
+     "--nu expects comma-separated integers, got '1_0'"),
+    (["unitary", "spo2-3", "--k", "-1", "--nu", "\u0663", "--ell0", "1/2"],
+     "--nu expects comma-separated integers, got '\u0663'"),
+    (["range", "psl2-2", "--k", "-\u0663"], "walg: error: not a p/q rational: '-\u0663'\n"),
+], ids=["nu-underscore", "nu-arabic-indic-digit", "k-arabic-indic-digit"])
+def test_numbers_are_written_in_ascii_digits(argv, message):
+    # int() and Fraction() alone would read 1_0 as 10 and the digit three as 3
+    assert run_command(argv) == (2, message)
+
+
+def test_nu_parts_parse_as_int_reads_them():
+    argv = ["unitary", "spo2-3", "--k", "-1", "--ell0", "1/2", "--nu"]
+    assert run_command(argv + [" +2 "]) == run_command(argv + ["2"])
+    assert run_command(argv + ["-1"])[0] == 2
+
+
 def test_negative_fraction_flag_values_parse():
     code, _ = run_command(["range", "spo2-3", "--k", "-3/4"])
     assert code == 0

@@ -15,10 +15,10 @@ class _Tuple(tuple):
 
 
 def test_render_value_writes_each_check_type():
-    theta = build_algebra(AlgebraId.parse("spo2-3")).theta
+    coords = build_algebra(AlgebraId.parse("spo2-3")).theta.coords
     assert [render_value(v) for v in (
         True, False, 3, -4, Fraction(-1, 2), Fraction(6, 3), "free",
-        (1, Fraction(1, 2)), [[0], "free"], (), theta, (theta, True))] == [
+        (1, Fraction(1, 2)), [[0], "free"], (), coords, (coords, True))] == [
         "true", "false", "3", "-4", "-1/2", "2", "free",
         "[1, 1/2]", "[[0], free]", "[]", "[0, 2]", "[[0, 2], true]"]
 
@@ -26,9 +26,10 @@ def test_render_value_writes_each_check_type():
 @pytest.mark.parametrize("value, kind", [
     (None, "NoneType"), (1.5, "float"), (float("nan"), "float"), (1j, "complex"),
     ({1, 2}, "set"), (frozenset(), "frozenset"), (object(), "object"), ({"a": 1}, "dict"),
-    (_Int(1), "_Int"), (_Tuple(), "_Tuple"), ((1, [None]), "NoneType")],
+    (_Int(1), "_Int"), (_Tuple(), "_Tuple"), ((1, [None]), "NoneType"),
+    (build_algebra(AlgebraId.parse("spo2-3")).theta, "Weight")],
     ids=["none", "float", "nan", "complex", "set", "frozenset", "object", "dict",
-         "int-subclass", "tuple-subclass", "nested-none"])
+         "int-subclass", "tuple-subclass", "nested-none", "weight"])
 def test_render_value_refuses_every_other_type(value, kind):
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         render_value(value)

@@ -36,9 +36,13 @@ def test_loader_requires_version_header(tmp_path, monkeypatch):
     ("weird e(1)", "expected a parity, even or odd, and an expression"),
     ("even", "expected a parity, even or odd, and an expression"),
     ("even e(i) for 1<i<=m", "bad range clause 'for 1<i<=m'"),
+    # int() alone would read these as 3, 2 and 10
+    ("even e(\u0663)", "not an integer in ASCII digits: '\u0663'"),
+    ("even \u0662e(1)", "cannot parse root expression '\u0662e(1)'"),
+    ("even e(i) for 1<=i<=1_0", "not an integer in ASCII digits: '1_0'"),
 ], ids=["bad-term", "unbound-index", "bad-bound", "zero-denominator", "junk-between-terms",
         "e-index-out-of-range", "d-index-out-of-range", "bad-parity", "no-expression",
-        "bad-range"])
+        "bad-range", "non-ascii-index", "non-ascii-coefficient", "underscore-bound"])
 def test_loader_rejects_malformed_lines(tmp_path, monkeypatch, line, reason):
     target = tmp_path / "d21.roots"
     target.write_text(

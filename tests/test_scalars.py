@@ -37,6 +37,13 @@ def test_rational_rejects_a_zero_denominator(text):
     assert repr(text) in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["-\u0663", "1/\u0662", "1_0", "1/2_0"])
+def test_rational_reads_ascii_digits_only(text):
+    # Fraction() alone reads the Arabic-Indic digits three and two
+    with pytest.raises(ValueError, match=f"^not a p/q rational: '{text}'$"):
+        rational(text)
+
+
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)

@@ -63,8 +63,6 @@ __all__ = [
     "AffineModuleRecord",
     "classify_w_modules",
     "classify_affine_modules",
-    "w_record_json",
-    "affine_record_json",
     "standard_levels",
     "cross_identity_report",
     "first_failure",
@@ -697,8 +695,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 
-@dataclass(frozen=True)
-class WModuleRecord:
+class WModuleRecord(NamedTuple):
     nu: DominantWeight
     ell0: Optional[Fraction]  # None = free one-parameter family
     extremal: bool
@@ -706,8 +703,7 @@ class WModuleRecord:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class AffineModuleRecord:
+class AffineModuleRecord(NamedTuple):
     nu: DominantWeight
     extremal: bool
     h_set: Optional[frozenset[Fraction]]  # None = h is free
@@ -723,7 +719,8 @@ def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
     At ell0 = A the verdict reads the weight only through its extremality
     and whether it is the zero weight (see unitarity_verdict), so it is
     settled by one unitarity_verdict call per class, at most three per
-    level; the oracle test against a verdict per weight guards this.
+    level, and the records of a class share its Verdict; the oracle test
+    against a verdict per weight guards this.
     """
     out = []
     verdicts: dict[tuple[bool, bool], Verdict] = {}
@@ -746,24 +743,6 @@ def classify_affine_modules(lvl: Level) -> tuple[AffineModuleRecord, ...]:
         h_set = extremal_h_set(lvl, nu) if extremal else None
         out.append(AffineModuleRecord(nu, extremal, h_set))
     return tuple(out)
-
-
-def w_record_json(rec: WModuleRecord) -> dict:
-    return {
-        "nu_coeffs": list(rec.nu.coeffs),
-        "ell0": "free" if rec.ell0 is None else rational_str(rec.ell0),
-        "extremal": rec.extremal,
-        "A": rational_str(rec.threshold),
-        "unitarity": str(rec.verdict),
-    }
-
-
-def affine_record_json(rec: AffineModuleRecord) -> dict:
-    return {
-        "nu_coeffs": list(rec.nu.coeffs),
-        "extremal": rec.extremal,
-        "h": "free" if rec.h_set is None else [rational_str(h) for h in sorted(rec.h_set)],
-    }
 
 
 def standard_levels(aid: AlgebraId, count: int = 10) -> list[Fraction]:

@@ -16,12 +16,11 @@ import sys
 from . import __version__
 from .affine import eta_membership_check, reflected_base, simple_root_set_json
 from .catalog import (AlgebraId, algebra_json, build_algebra, selfcheck_algebra)
-from .classify import (AffineModuleLabel, A_value, DominantWeight, Level,
-                       RangeError, WModuleLabel, affine_record_json,
+from .classify import (AffineModuleLabel, AffineModuleRecord, A_value, DominantWeight,
+                       Level, RangeError, WModuleLabel, WModuleRecord,
                        classify_affine_modules, classify_w_modules,
                        cross_identity_report, hamiltonian_reduce, in_unitarity_range,
-                       is_extremal, level, level_M, standard_levels,
-                       unitarity_verdict, w_record_json)
+                       is_extremal, level, level_M, standard_levels, unitarity_verdict)
 from .ledger import check_d21_cone, run_level_ledger
 from .report import Report
 from .scalars import rational, rational_str
@@ -128,11 +127,11 @@ def _parse_nu(alg, text: str) -> DominantWeight:
 
 
 def _dump(payload) -> str:
-    """The bytes of json.dumps(payload, indent=2) + "\\n", the one writer of
-    every CLI document (see docs/schema.md).  It writes what walg's
-    documents hold: str, int, bool and None leaves in lists and in dicts
-    keyed by str, each matched by exact type; any other value raises
-    TypeError."""
+    """The bytes of json.dumps(payload, indent=2) + "\\n", the writer of
+    every CLI document but the records of `modules` (see _modules_json and
+    docs/schema.md).  It writes what walg's documents hold: str, int, bool
+    and None leaves in lists and in dicts keyed by str, each matched by
+    exact type; any other value raises TypeError."""
     return _encode(payload, "\n") + "\n"
 
 
@@ -159,6 +158,41 @@ def _encode(value, newline: str) -> str:
         items = [_escape(k) + ": " + _encode(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"a walg document holds no {kind.__name__}")
+
+
+def _modules_json(header: dict, records: list[str], ledger: list | None) -> str:
+    """The bytes of _dump(header | {"modules": [...], "ledger": ledger}),
+    ledger omitted when None, for records written by _w_record or
+    _affine_record; _encode writes the header and the ledger around them."""
+    head = _encode(header, "\n")[:-2]  # without its closing "\n}"
+    modules = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+    tail = "" if ledger is None else ',\n  "ledger": ' + _encode(ledger, "\n  ")
+    return f'{head},\n  "modules": {modules}{tail}\n}}\n'
+
+
+def _w_record(rec: WModuleRecord, unitarity: str) -> str:
+    """One W-module record in one step, as _dump writes it at its indent in
+    a modules document; unitarity is the verdict's JSON text."""
+    ell0 = "free" if rec.ell0 is None else rational_str(rec.ell0)
+    return (f'    {{\n      "nu_coeffs": {_column(map(str, rec.nu.coeffs))},\n'
+            f'      "ell0": "{ell0}",\n'
+            f'      "extremal": {"true" if rec.extremal else "false"},\n'
+            f'      "A": "{rational_str(rec.threshold)}",\n'
+            f'      "unitarity": {unitarity}\n    }}')
+
+
+def _affine_record(rec: AffineModuleRecord) -> str:
+    """One affine-module record in one step, as _w_record writes a W one."""
+    h = ('"free"' if rec.h_set is None
+         else _column(f'"{rational_str(h)}"' for h in sorted(rec.h_set)))
+    return (f'    {{\n      "nu_coeffs": {_column(map(str, rec.nu.coeffs))},\n'
+            f'      "extremal": {"true" if rec.extremal else "false"},\n'
+            f'      "h": {h}\n    }}')
+
+
+def _column(items) -> str:
+    """A nonempty list of JSON texts as the value of a record's key."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def _catalog_header(lvl: Level) -> dict:
@@ -189,32 +223,40 @@ def _cmd_range(args) -> tuple[int, str]:
 
 def _cmd_modules(args) -> tuple[int, str]:
     lvl = level(args.algebra, args.k)
-    payload = _catalog_header(lvl)
+    header = _catalog_header(lvl)
     if args.affine:
-        payload["kind"] = "affine"
-        records = [affine_record_json(r) for r in classify_affine_modules(lvl)]
+        header["kind"] = "affine"
+        records = classify_affine_modules(lvl)
     else:
-        payload["kind"] = "w"
-        payload["positive_energy_complete"] = True
-        records = [w_record_json(r) for r in classify_w_modules(lvl)]
-    payload["modules"] = records
-    code = 0
+        header["kind"] = "w"
+        header["positive_energy_complete"] = True
+        records = classify_w_modules(lvl)
+    code, ledger = 0, None
     if args.ledger:
         ledger = run_level_ledger(lvl)
-        payload["ledger"] = ledger.to_json()
         code = 0 if ledger.all_pass else 1
     if args.json:
-        return code, _dump(payload)
-    lines = [f"{payload['algebra']}  k={payload['k']}  M={','.join(payload['M'])}"]
-    for rec in records:
-        nu = ",".join(str(c) for c in rec["nu_coeffs"])
-        kind = "extremal" if rec["extremal"] else "generic"
         if args.affine:
-            h = rec["h"] if isinstance(rec["h"], str) else " or ".join(rec["h"])
+            items = list(map(_affine_record, records))
+        else:
+            items, texts = [], {}  # a verdict's text, once per class: see classify_w_modules
+            for rec in records:
+                unitarity = texts.get(id(rec.verdict))
+                if unitarity is None:
+                    unitarity = texts[id(rec.verdict)] = _escape(str(rec.verdict))
+                items.append(_w_record(rec, unitarity))
+        return code, _modules_json(header, items, ledger if ledger is None else ledger.to_json())
+    lines = [f"{header['algebra']}  k={header['k']}  M={','.join(header['M'])}"]
+    for rec in records:
+        nu = ",".join(map(str, rec.nu.coeffs))
+        kind = "extremal" if rec.extremal else "generic"
+        if args.affine:
+            h = "free" if rec.h_set is None else " or ".join(map(rational_str, sorted(rec.h_set)))
             lines.append(f"  nu=({nu})  h={h}  [{kind}]")
         else:
-            lines.append(f"  nu=({nu})  ell0={rec['ell0']}  A={rec['A']}"
-                         f"  [{kind}]  {rec['unitarity']}")
+            ell0 = "free" if rec.ell0 is None else rational_str(rec.ell0)
+            lines.append(f"  nu=({nu})  ell0={ell0}  A={rational_str(rec.threshold)}"
+                         f"  [{kind}]  {rec.verdict}")
     if args.ledger:
         lines += _failures_and_summary("ledger", ledger)
     return code, "\n".join(lines) + "\n"

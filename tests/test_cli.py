@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import walg
 from walg import classify, cli
+from walg.catalog import AlgebraId
+from walg.classify import AffineModuleRecord, DominantWeight, WModuleRecord
 from walg.cli import main, run_command
 from walg.report import Report
+from walg.scalars import rational_str
 
 
 def run_json(argv):
@@ -228,6 +231,43 @@ def test_modules_refuses_an_oversized_cone_at_once(monkeypatch, extra):
     assert elapsed < 1.0
 
 
+# f4 at k = -82/3, the largest deep level of the benchmark (6,391 weights)
+DEEP_F4 = ["modules", "f4", "--k", "-82/3"]
+
+
+@pytest.mark.parametrize("extra, kind", [(["--json"], "w"), ([], "w"),
+                                         (["--affine", "--json"], "affine")],
+                         ids=["json", "text", "affine"])
+def test_modules_lists_what_the_classifier_returns(monkeypatch, extra, kind):
+    """walg modules writes the records of classify_w_modules or
+    classify_affine_modules, which reach the cone, extremality, the
+    threshold and the verdicts through the classify module globals, the
+    names the benchmark tracer wraps: a writer that bypassed the classifier
+    would leave one of these counts short."""
+    calls = {}
+    for owner, name in [(cli, "classify_w_modules"), (cli, "classify_affine_modules"),
+                        (classify, "enumerate_Pk"), (classify, "is_extremal"),
+                        (classify, "A_value"), (classify, "unitarity_verdict")]:
+        def counted(*args, _name=name, _true=getattr(owner, name)):
+            calls[_name] += 1
+            return _true(*args)
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counted)
+    code, _ = run_command(DEEP_F4 + extra)
+    assert code == 0
+    cone = classify.count_Pk(classify.level("f4", Fraction(-82, 3)))
+    verdicts = calls["unitarity_verdict"]
+    if kind == "w":  # one verdict per class, each with an A_value of its own
+        assert 1 <= verdicts <= 3
+        expected = {"classify_w_modules": 1, "classify_affine_modules": 0,
+                    "A_value": cone + verdicts}
+    else:
+        expected = {"classify_w_modules": 0, "classify_affine_modules": 1,
+                    "A_value": 0, "unitarity_verdict": 0}
+    assert calls == {"enumerate_Pk": 1, "is_extremal": cone, "unitarity_verdict": verdicts,
+                     **expected}
+
+
 def test_help_is_returned_not_printed(capsys):
     for argv in (["--help"], ["unitary", "--help"], ["modules", "-h"]):
         code, text = run_command(argv)
@@ -397,6 +437,55 @@ def test_writer_refuses_what_walg_never_writes(value, kind):
     json.dumps(value, indent=2)
     with pytest.raises(TypeError, match=rf"\b{kind}\b"):
         cli._dump(value)
+
+
+# The dict forms of a modules record that json.dumps is compared with
+def _w_record_dict(rec):
+    return {"nu_coeffs": list(rec.nu.coeffs),
+            "ell0": "free" if rec.ell0 is None else rational_str(rec.ell0),
+            "extremal": rec.extremal,
+            "A": rational_str(rec.threshold),
+            "unitarity": str(rec.verdict)}
+
+
+def _affine_record_dict(rec):
+    return {"nu_coeffs": list(rec.nu.coeffs),
+            "extremal": rec.extremal,
+            "h": "free" if rec.h_set is None else [rational_str(h) for h in sorted(rec.h_set)]}
+
+
+# negative, fractional and big rationals; dominant weights of ranks 1 to 24
+# (spo2-(2r+1) has rank r) with big coefficients
+RATIONALS = st.one_of(st.integers(-10, 10).map(Fraction),
+                      st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**80)))
+WEIGHTS = st.integers(1, 24).flatmap(lambda r: st.builds(
+    DominantWeight, st.just(AlgebraId.parse(f"spo2-{2 * r + 1}")),
+    st.tuples(*[st.integers(0, 2**70)] * r)))
+VERDICTS = st.sampled_from([classify.UNITARY, classify.OPEN,
+                            *map(classify.not_unitary, ("1a", "1b", "1c"))])
+W_RECORDS = st.builds(WModuleRecord, WEIGHTS, st.none() | RATIONALS, st.booleans(),
+                      RATIONALS, VERDICTS)
+AFFINE_RECORDS = st.builds(AffineModuleRecord, WEIGHTS, st.booleans(),
+                           st.none() | st.frozensets(RATIONALS, min_size=1, max_size=2))
+HEADER = cli._catalog_header(classify.level("f4", -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("w"), st.lists(W_RECORDS, max_size=4)),
+    st.tuples(st.just("affine"), st.lists(AFFINE_RECORDS, max_size=4))),
+    st.none() | st.lists(st.dictionaries(TEXT, LEAVES, max_size=3), max_size=3))
+def test_record_writers_give_the_bytes_of_json_dumps(kind_records, ledger):
+    kind, records = kind_records
+    if kind == "w":
+        items = [cli._w_record(rec, cli._escape(str(rec.verdict))) for rec in records]
+        dicts = list(map(_w_record_dict, records))
+    else:
+        items = list(map(cli._affine_record, records))
+        dicts = list(map(_affine_record_dict, records))
+    header = {**HEADER, "kind": kind}
+    document = {**header, "modules": dicts, **({} if ledger is None else {"ledger": ledger})}
+    assert cli._modules_json(header, items, ledger) == json.dumps(document, indent=2) + "\n"
 
 
 def test_repeat_invocations_are_deterministic():

@@ -283,6 +283,7 @@ class AlgebraId:
     n: int = 0
     spec: FamilySpec = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = next((row for row in FAMILY_TABLE
@@ -292,6 +293,12 @@ class AlgebraId:
         spec.check(self)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "dim", sum(spec.dims(self.m, self.n)))
+        # every cache lookup and every weight's hash hashes the id: the
+        # generated hash of the compared fields, computed once
+        object.__setattr__(self, "_hash", hash((self.family, self.m, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
         # the row holds functions, which do not pickle; rebuild from the fields

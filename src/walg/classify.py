@@ -22,11 +22,12 @@ polynomial identity valid verbatim over any field extension.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor, lcm
-from operator import gt, mul
+from operator import add, gt, le, mul
 from typing import Iterable, NamedTuple, Optional
 
 from .affine import AffineWeight, affine_pair
@@ -138,6 +139,17 @@ class Level:
         D = _basis(self.alg.id).D
         (p, q), (a, b) = self.k.as_integer_ratio(), self.alg.h_check.as_integer_ratio()
         return q * b * D, 2 * q * b, 2 * b * D * (p + q), 2 * D * D * (p * b + a * q)
+
+    @cached_property
+    def _ell0_consts(self) -> tuple[int, int, int, int]:
+        # ell0 = (c0 + c1 h + c2 h^2) / den (see _ell0_coeffs) with c0 = qb P
+        # and c1 = 2 qb T + c for the integers P and T of a weight: with
+        # k = p/q and h_check = a/b, qb = q b, den = 2 E (p b + a q),
+        # c = qb R - den and c2 = qb N, from the ambient data, not _basis
+        amb = _ambient_constants(self.alg.id)
+        (p, q), (a, b) = self.k.as_integer_ratio(), self.alg.h_check.as_integer_ratio()
+        qb, den = q * b, 2 * amb.E * (p * b + a * q)
+        return qb, qb * amb.theta_two_rho - den, qb * amb.theta_theta, den
 
     @cached_property
     def cone(self) -> tuple[DominantWeight, ...]:
@@ -424,8 +436,8 @@ def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
     extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i).  The comark
     values come from the weight, the floors of M_i(k) and M_i(k) + chi_i
     from the level."""
-    vals = _theta_ints(lvl, nu)
-    floors, margins = lvl._floors
+    _label_algebra(lvl, nu)
+    vals, (floors, margins) = nu._comark_values, lvl._floors
     if any(map(gt, vals, floors)):
         return None
     return any(map(gt, vals, margins))
@@ -511,7 +523,8 @@ def _ambient_constants(aid: AlgebraId) -> _Ambient:
         return tuple(int(L * x) for x in w.coords)
 
     def applied(w: Weight) -> tuple[int, ...]:
-        return tuple(_dot(row, scaled(w)) for row in gram)
+        v = scaled(w)
+        return tuple(_dot(row, v) for row in gram)
 
     # each E (u|v) below is an integer, since L clears both weights
     return _Ambient(
@@ -535,11 +548,10 @@ def _ell0_coeffs(lvl: Level, nu: DominantWeight) -> tuple[int, int, int, int]:
     """ell0 as one integer quadratic in h, (c0 + c1 h + c2 h^2) / den (see
     ell0).  With k = p/q, h_check = a/b, qb = q b and d = p b + a q, these
     are c0 = qb P, c1 = qb (2 T + R) - 2 E d, c2 = qb N and den = 2 E d."""
-    c = _ambient_constants(_label_algebra(lvl, nu))
-    (p, q), (a, b) = lvl.k.as_integer_ratio(), lvl.alg.h_check.as_integer_ratio()
-    qb, d = q * b, p * b + a * q
-    return (qb * nu._norm, qb * (2 * nu._theta + c.theta_two_rho) - 2 * c.E * d,
-            qb * c.theta_theta, 2 * c.E * d)
+    # all but the weight's P and T are the level's (Level._ell0_consts)
+    _label_algebra(lvl, nu)
+    qb, c, c2, den = lvl._ell0_consts
+    return qb * nu._norm, 2 * qb * nu._theta + c, c2, den
 
 
 def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
@@ -574,7 +586,8 @@ class AffineModuleLabel:
     h: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "h", rational(self.h))
+        if type(self.h) is not Fraction:
+            object.__setattr__(self, "h", rational(self.h))
 
 
 @dataclass(frozen=True)
@@ -586,7 +599,7 @@ class WModuleLabel:
     ell0: Optional[Fraction]
 
     def __post_init__(self):
-        if self.ell0 is not None:
+        if self.ell0 is not None and type(self.ell0) is not Fraction:
             object.__setattr__(self, "ell0", rational(self.ell0))
 
 
@@ -619,9 +632,14 @@ def affine_module_descends(lvl: Level, label: AffineModuleLabel) -> bool:
     non-extremal (h arbitrary) or extremal with h in the two-point set."""
     _require_range(lvl)
     extremal = _extremal(lvl, label.nu)
-    if extremal is None:
-        return False
-    return not extremal or label.h in extremal_h_set(lvl, label.nu)
+    if not extremal:
+        return extremal is not None
+    # h in extremal_h_set(lvl, nu) without building it: with h = r/s,
+    # k = p/q and (xi|nu) = x/y in lowest terms, h = x/y or h = k + 1 - x/y,
+    # which is r q y = s ((p + q) y - q x)
+    (r, s), (p, q) = label.h.as_integer_ratio(), lvl.k.as_integer_ratio()
+    x, y = label.nu.xi_pair.as_integer_ratio()
+    return (r, s) == (x, y) or r * q * y == s * ((p + q) * y - q * x)
 
 
 def w_module_exists(lvl: Level, label: WModuleLabel) -> bool:
@@ -757,13 +775,18 @@ def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
     per natural simple root s, and v(theta_i-coroot) <= M_i(k) reads
     2 (V.G'(L theta_i) - k E) / E (theta_i|theta_i) <= chi_i per summand."""
     c = _ambient_constants(lvl.alg.id)
-    v = tuple(map(sum, zip(nu._scaled, c.xi)))
+    v = tuple(map(add, nu._scaled, c.xi))
     for g_s, norm in c.simple:
         quotient, remainder = divmod(2 * _dot(v, g_s), norm)
         if remainder or quotient < 0:
             return False
-    p, q = lvl.k.numerator, lvl.k.denominator
-    return all(Fraction(2 * (_dot(v, g_t) * q - p * c.E), q * norm) <= chi
+    # with k = p/q and chi_i = n/d this is x / (q N) <= n/d for the integers
+    # x = 2 (V.G'(L theta_i) q - p E) and N = E (theta_i|theta_i), compared
+    # as x d (q N) <= n (q N)^2, times d (q N)^2 > 0: every catalog N is
+    # negative, so a cross-multiplication by q N alone would flip the sign
+    p, q = lvl.k.as_integer_ratio()
+    return all(2 * (_dot(v, g_t) * q - p * c.E) * chi.denominator * q * norm
+               <= chi.numerator * (q * norm) ** 2
                for g_t, norm, chi in zip(c.g_theta_i, c.theta_i_norms, lvl.alg.chi))
 
 
@@ -816,26 +839,31 @@ def cross_identity_report(lvl: Level) -> Report:
             computed=all(m.denominator == 1 and m >= 0 for m in M))
 
     cone = enumerate_Pk(lvl)
-    extremal = {nu: is_extremal(lvl, nu) for nu in cone}
+    extremal = [is_extremal(lvl, nu) for nu in cone]  # aligned with the cone
 
     rep.add("classify.extremal-dual", algebra=name, k=k,
             formula="extremality by the chi margin agrees with nu + xi leaving the cone",
             expected=True,
-            computed=first_failure((nu, None) for nu in cone
-                                   if extremal[nu] == _nu_plus_xi_in_Pk(lvl, nu)))
+            computed=first_failure((nu, None) for nu, ext in zip(cone, extremal)
+                                   if ext == _nu_plus_xi_in_Pk(lvl, nu)))
 
     # ell0(r/s) = n(r, s) / (den s^2) with n(r, s) = c0 s^2 + r (c1 s + c2 r),
     # so ell0(h) = ell0(k + 1 - h) for k + 1 - h = r'/s' reads
-    # n(r, s) s'^2 = n(r', s') s^2
-    mirrored = [(h, *h.as_integer_ratio(), *(k + 1 - h).as_integer_ratio())
-                for h in (Fraction(0), Fraction(1), Fraction(-1, 2), k, k + 1)]
+    # n(r, s) s'^2 = n(r', s') s^2.  The c0 terms are equal, so that is
+    # c1 B + c2 C = 0 for the integers B = r s s'^2 - r' s' s^2 = s s' g and
+    # C = r^2 s'^2 - r'^2 s^2 = g (r s' + r' s), g = r s' - r' s, of each h,
+    # formed once per level
+    mirrored = []
+    for h in (Fraction(0), Fraction(1), Fraction(-1, 2), k, k + 1):
+        (r, s), (r2, s2) = h.as_integer_ratio(), (k + 1 - h).as_integer_ratio()
+        g = r * s2 - r2 * s
+        mirrored.append((h, s * s2 * g, g * (r * s2 + r2 * s)))
 
     def symmetry_failures():
         for nu in cone:
-            c0, c1, c2, _ = _ell0_coeffs(lvl, nu)
-            for h, r, s, r2, s2 in mirrored:
-                if (c0 * s * s + r * (c1 * s + c2 * r)) * s2 * s2 != \
-                        (c0 * s2 * s2 + r2 * (c1 * s2 + c2 * r2)) * s * s:
+            _, c1, c2, _ = _ell0_coeffs(lvl, nu)
+            for h, B, C in mirrored:
+                if c1 * B + c2 * C:
                     yield nu, h
 
     rep.add("classify.ell0-symmetry", algebra=name, k=k,
@@ -860,14 +888,18 @@ def cross_identity_report(lvl: Level) -> Report:
             formula="ell0(h) = A(k, nu) exactly for h in {(xi|nu), k+1-(xi|nu)}",
             expected=True, computed=first_failure(threshold_failures()))
 
-    fixed_hs = frozenset((Fraction(0), Fraction(-1, 2), k + 1))
+    # the h of a non-extremal weight: these, sorted once per level, with
+    # (xi|nu) put in its place
+    fixed_hs = sorted({Fraction(0), Fraction(-1, 2), k + 1})
 
     def reduce_failures():
-        for nu in cone:
-            if extremal[nu]:
+        for nu, ext in zip(cone, extremal):
+            if ext:
                 hs = sorted(extremal_h_set(lvl, nu))
             else:
-                hs = sorted(fixed_hs | {nu.xi_pair})
+                x = nu.xi_pair
+                i = bisect_left(fixed_hs, x)
+                hs = fixed_hs if x in fixed_hs[i:i + 1] else [*fixed_hs[:i], x, *fixed_hs[i:]]
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):
@@ -880,13 +912,15 @@ def cross_identity_report(lvl: Level) -> Report:
             formula="reduction of an admissible affine label vanishes or is an admissible W-label",
             expected=True, computed=first_failure(reduce_failures()))
 
+    # on integers: M_i + chi_i - v is an integer iff M_i + chi_i is one,
+    # and then nonnegative iff v <= floor(M_i + chi_i)
+    margins_integral = all(m.denominator == 1 for m in lvl._margins)
     rep.add("classify.margin-nonneg", algebra=name, k=k,
             formula="M_i(k) + chi_i - nu(theta_i-coroot) is a nonnegative integer off the extremal set",
             expected=True,
             computed=first_failure(
-                (nu, None) for nu in cone if not extremal[nu]
-                and not all((m - v).denominator == 1 and m >= v
-                            for v, m in zip(theta_values(lvl, nu), lvl._margins))))
+                (nu, None) for nu, ext in zip(cone, extremal) if not ext
+                and not (margins_integral and all(map(le, _theta_ints(lvl, nu), lvl._floors[1])))))
 
     vacuum = WModuleLabel(DominantWeight(alg.id, (0,) * alg.rank_natural), Fraction(0))
     rep.add("classify.vacuum-exists", algebra=name, k=k,
@@ -899,6 +933,6 @@ def cross_identity_report(lvl: Level) -> Report:
         rep.add("classify.free-family", algebra=name, k=k,
                 formula="some non-extremal nu carries a free ell0 family",
                 expected=True,
-                computed=any(not extremal[nu] for nu in cone))
+                computed=not all(extremal))
 
     return rep

@@ -9,10 +9,11 @@ so golden reports diff cleanly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .affine import AffineWeight, affine_coroot_pair, affine_pair
-from .catalog import coroot_pair
+from .affine import AffineWeight, affine_pair
+from .catalog import AlgebraId, build_algebra, coroot_pair
 from .classify import (A_value, DominantWeight, Level, _ambient_constants,
                        classify_w_modules, enumerate_Pk, first_failure,
                        level_M, table_M, theta_values)
@@ -71,6 +72,24 @@ def _h_samples(lvl: Level):
     return (Fraction(0), lvl.k - Fraction(1, 3))
 
 
+@lru_cache(maxsize=None)
+def _affine_constants(aid: AlgebraId):
+    # the k-free weights and pairings of check_affine_pairings: alpha_1,
+    # alpha_0 + alpha_1, Lambda' - k Lambda_0 = theta - alpha_1 - delta, and
+    # per summand eta_i = delta - theta_i, (eta_i|eta_i), (alpha_1 +
+    # alpha_0|eta_i), (alpha_1|eta_i), -xi(theta_i-coroot) and
+    # alpha_1(theta_i-coroot)
+    alg = build_algebra(aid)
+    alpha1, theta = AffineWeight(alg.alpha1), AffineWeight(alg.theta)
+    delta = AffineWeight(0 * alg.theta, 0, 1)
+    alpha01 = delta - theta + alpha1
+    etas = [delta - AffineWeight(t) for t in alg.theta_i]
+    return alpha1, alpha01, theta - alpha1 - delta, tuple(
+        (eta, affine_pair(eta, eta), affine_pair(alpha01, eta), affine_pair(alpha1, eta),
+         -coroot_pair(alg.xi, t), coroot_pair(alg.alpha1, t))
+        for eta, t in zip(etas, alg.theta_i))
+
+
 def check_affine_pairings(lvl: Level) -> Report:
     """Affine pairing scalars used by the descent and ideal arguments."""
     rep = Report()
@@ -79,31 +98,27 @@ def check_affine_pairings(lvl: Level) -> Report:
     k = lvl.k
     M = level_M(lvl)
     fermionic = alg.id.spec.fermionic_generator
-
-    alpha1 = AffineWeight(alg.alpha1)
-    theta = AffineWeight(alg.theta)
-    delta = AffineWeight(0 * alg.theta, 0, 1)
+    # the k-free part is the algebra's; per level only k Lambda_0, Lambda'
+    # and Lambda'''_i are built and paired
+    alpha1, alpha01, shift, summands = _affine_constants(alg.id)
     k_lambda0 = AffineWeight(0 * alg.theta, k, 0)
-    lam_prime = k_lambda0 - delta + theta - alpha1
-    alpha0 = delta - theta
-    etas = [delta - AffineWeight(t) for t in alg.theta_i]
+    lam_prime = k_lambda0 + shift
+    k_pairs = [affine_pair(k_lambda0, eta) for eta, *_ in summands]  # (k Lambda_0|eta_i)
 
-    for i, (theta_i, eta) in enumerate(zip(alg.theta_i, etas)):
+    for i, (eta, norm, _, _, xi_value, alpha1_value) in enumerate(summands):
         rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,
                 formula="(Lambda'|eta_i-coroot) = M_i(k)",
-                expected=M[i], computed=affine_coroot_pair(lam_prime, eta))
+                expected=M[i], computed=2 * affine_pair(lam_prime, eta) / norm)
 
         rep.add(f"affine.vacuum-eta[{i + 1}]", algebra=name, k=k,
                 formula="(k Lambda_0|eta_i-coroot) = M_i(k) - chi_i",
-                expected=M[i] - alg.chi[i],
-                computed=affine_coroot_pair(k_lambda0, eta))
+                expected=M[i] - alg.chi[i], computed=2 * k_pairs[i] / norm)
 
         rep.add(f"affine.xi-restriction[{i + 1}]", algebra=name, k=k,
                 formula="(alpha_1|theta_i-coroot) = -xi(theta_i-coroot)",
-                expected=-coroot_pair(alg.xi, theta_i),
-                computed=coroot_pair(alg.alpha1, theta_i))
+                expected=xi_value, computed=alpha1_value)
 
-        lam_triple = k_lambda0 - (M[i] + 1) * eta - delta + theta - alpha1
+        lam_triple = lam_prime - (M[i] + 1) * eta
         if not fermionic:
             rep.add(f"affine.nonvanishing-linear[{i + 1}]", algebra=name, k=k,
                     formula="(Lambda'''_i|alpha_1) = -k + 1",
@@ -112,7 +127,7 @@ def check_affine_pairings(lvl: Level) -> Report:
             rep.add("spo23.nonvanishing-a0a1", algebra=name, k=k,
                     formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
                     expected=-k - Fraction(1, 2),
-                    computed=affine_pair(lam_triple, alpha0 + alpha1))
+                    computed=affine_pair(lam_triple, alpha01))
             rep.add("spo23.nonvanishing-alpha1", algebra=name, k=k,
                     formula="(k Lambda_0 - (M_1+1)(delta - theta_1)|alpha_1) = (M_1+1)/2",
                     expected=(M[0] + 1) / 2,
@@ -128,12 +143,11 @@ def check_affine_pairings(lvl: Level) -> Report:
     # The cone starts at the zero weight, where the step is the vacuum
     # identity; past it, the step no longer depends on h once that holds.
     samples = _h_samples(lvl)
-    sums = (alpha1 + alpha0, alpha1)
     c = _ambient_constants(alg.id)  # E (theta_hat|eta_i) and N_i
-    pairings = [[affine_pair(x, eta) for x in (k_lambda0, *sums, eta)] for eta in etas]
     vacuum_failures = [h for h in samples if any(
         2 * (h * t / c.E + lk - a) != m * n
-        for m, t, (lk, *a_pairs, n) in zip(M, c.theta_eta, pairings) for a in a_pairs)]
+        for m, t, lk, (_, n, *a_pairs, _, _) in zip(M, c.theta_eta, k_pairs, summands)
+        for a in a_pairs)]
 
     def step_failures():
         cone = enumerate_Pk(lvl)

@@ -243,6 +243,25 @@ def test_algebra_ids_and_data_pickle():
     assert pickle.loads(pickle.dumps(a.id)).spec is a.id.spec
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_equal_algebra_ids_hash_equal(name):
+    """AlgebraId keeps its hash, computed once, and it is the hash of the
+    compared fields that the generated dataclass hash would give."""
+    aid = AlgebraId.parse(name)
+    twin = AlgebraId(aid.family, aid.m, aid.n)
+    assert twin == aid and twin is not aid
+    assert hash(twin) == hash(aid) == hash((aid.family, aid.m, aid.n))
+    assert {aid: 1}[twin] == 1
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_algebra_id_pickle_keeps_its_hash(name):
+    aid = AlgebraId.parse(name)
+    back = pickle.loads(pickle.dumps(aid))
+    assert back == aid and hash(back) == hash(aid)
+    assert back.spec is aid.spec and back.dim == aid.dim
+
+
 FAMILY_WORDS = ("family", "fam")
 
 

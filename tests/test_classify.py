@@ -17,11 +17,13 @@ from walg.classify import (AffineModuleLabel, CriticalLevelError,
                            A_value, affine_module_descends,
                            classify_affine_modules, classify_w_modules,
                            count_Pk, cross_identity_report, ell0,
-                           enumerate_Pk, extremal_h_set, hamiltonian_reduce,
-                           in_truncated_cone, in_unitarity_range, is_extremal,
+                           enumerate_Pk, extremal_h_set, first_failure,
+                           hamiltonian_reduce, in_truncated_cone,
+                           in_unitarity_range, is_extremal,
                            level, level_M, standard_levels, table_M,
                            theta_values, unitarity_verdict, w_module_exists)
 from walg.cli import SELFCHECK_ALGEBRAS
+from walg.report import render_value
 from walg.scalars import rational, rational_str
 
 FAMILY_REPS = ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "d21-3-2", "f4", "g3"]
@@ -819,6 +821,92 @@ def test_integer_cross_identities_match_fraction_references(label):
         assert classify._reduction_vanishes(k, g) is vanishes, g
         if defined:
             assert (hamiltonian_reduce(lvl, AffineModuleLabel(nu, g)) is None) is vanishes
+    if lvl.in_range:
+        # affine_module_descends tests h in the two-point set on integers
+        where, x = fraction_extremal(lvl, nu), nu.xi_pair
+        for g in (h, x, k + 1 - x, x + 1, k - x):
+            want = where is not None and (not where or g in fraction_extremal_h_set(lvl, nu))
+            assert affine_module_descends(lvl, AffineModuleLabel(nu, g)) is want, g
+
+
+# --- the level constants and integer bounds against the forms they replaced ---
+
+def per_call_ell0_coeffs(lvl, nu):
+    """_ell0_coeffs as it was before the level kept its k constants: each
+    call derives them from _ambient_constants, verbatim."""
+    c = classify._ambient_constants(lvl.alg.id)
+    (p, q), (a, b) = lvl.k.as_integer_ratio(), lvl.alg.h_check.as_integer_ratio()
+    qb, d = q * b, p * b + a * q
+    return (qb * nu._norm, qb * (2 * nu._theta + c.theta_two_rho) - 2 * c.E * d,
+            qb * c.theta_theta, 2 * c.E * d)
+
+
+def fraction_chi_bound_nu_plus_xi_in_Pk(lvl, nu):
+    """classify._nu_plus_xi_in_Pk as it was before its chi bound compared
+    integers: Fraction(2 (V.G'(L theta_i) q - p E), q E (theta_i|theta_i))
+    <= chi_i per summand, verbatim."""
+    c = classify._ambient_constants(lvl.alg.id)
+    v = tuple(map(sum, zip(nu._scaled, c.xi)))
+    for g_s, norm in c.simple:
+        quotient, remainder = divmod(2 * classify._dot(v, g_s), norm)
+        if remainder or quotient < 0:
+            return False
+    p, q = lvl.k.numerator, lvl.k.denominator
+    return all(F(2 * (classify._dot(v, g_t) * q - p * c.E), q * norm) <= chi
+               for g_t, norm, chi in zip(c.g_theta_i, c.theta_i_norms, lvl.alg.chi))
+
+
+def fraction_margin_site(lvl, extremal):
+    """The computed value of classify.margin-nonneg as it was before it
+    compared integers: (M_i + chi_i - v).denominator == 1 and M_i + chi_i >= v
+    per summand, for v = nu(theta_i-coroot), off the extremal set."""
+    return first_failure((nu, None) for nu in enumerate_Pk(lvl) if not extremal(lvl, nu)
+                         and not all((m - v).denominator == 1 and m >= v
+                                     for v, m in zip(theta_values(lvl, nu), lvl._margins)))
+
+
+def assert_level_matches_fraction_forms(lvl):
+    """Each weight of the cone: the level's ell0 constants against the
+    per-call derivation, the integer chi bound against the Fraction one; and
+    margin-nonneg against its Fraction form, as reported and with every
+    weight counted as non-extremal, so that failing weights are compared
+    too.  Returns the chi-bound answers seen."""
+    answers = set()
+    for nu in enumerate_Pk(lvl):
+        assert classify._ell0_coeffs(lvl, nu) == per_call_ell0_coeffs(lvl, nu), nu.coeffs
+        answer = classify._nu_plus_xi_in_Pk(lvl, nu)
+        assert answer is fraction_chi_bound_nu_plus_xi_in_Pk(lvl, nu), (lvl.name, lvl.k, nu.coeffs)
+        answers.add(answer)
+    for extremal in (is_extremal, lambda lvl, nu: False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "is_extremal", extremal)
+            by_id = {e.check_id: e for e in cross_identity_report(lvl).entries}
+        want = fraction_margin_site(lvl, extremal)
+        assert by_id["classify.margin-nonneg"].computed == render_value(want), (lvl.name, lvl.k)
+    return answers
+
+
+def test_level_constants_and_integer_bounds_match_fraction_forms_on_the_grid():
+    """At all 74 levels of selfcheck --all.  Every catalog E (theta_i|theta_i)
+    is negative (-4 to -20 on this grid), so the chi bound, cross-multiplied
+    by q E (theta_i|theta_i), must flip the sign of its <=; a form that does
+    not flip it fails here and fails test_criterion_5_property_suite."""
+    levels = list(cli._selfcheck_levels(True))
+    assert len(levels) == 74
+    norms = {n for lvl in levels for n in classify._ambient_constants(lvl.alg.id).theta_i_norms}
+    assert max(norms) < 0 and (min(norms), max(norms)) == (-20, -4)
+    answers = set()
+    for lvl in levels:
+        answers |= assert_level_matches_fraction_forms(lvl)
+    assert answers == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_ALGEBRAS).flatmap(lambda name: st.tuples(
+    st.just(name), st.sampled_from(standard_levels(AlgebraId.parse(name), 5)))))
+def test_level_constants_and_integer_bounds_match_fraction_forms_drawn(drawn):
+    name, k = drawn
+    assert_level_matches_fraction_forms(level(name, k))
 
 
 # The grid of `selfcheck --all` under three mutations of the algebra data,

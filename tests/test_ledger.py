@@ -2,12 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from walg import ledger
-from walg.catalog import AlgebraId
-from walg.classify import level, standard_levels
+from walg import classify, ledger
+from walg.affine import AffineWeight, affine_coroot_pair, affine_pair
+from walg.catalog import AlgebraId, coroot_pair
+from walg.classify import (enumerate_Pk, first_failure, level, level_M,
+                           standard_levels, theta_values)
 from walg.ledger import (check_affine_pairings, check_d21_cone,
                          check_singular_weights, check_zhu_consequences,
                          run_level_ledger)
+from walg.report import Report
 
 GRID = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "spo2-7",
         "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3"]
@@ -135,3 +138,81 @@ def test_failing_integrability_step_names_the_weight(monkeypatch):
                         lambda lvl, nu: tuple(v + nu.coeffs[0] for v in true_values(lvl, nu)))
     e = entry(check_affine_pairings(level("spo2-3", F(-1))), "affine.integrability-step")
     assert not e.passed and e.computed == "nu=(1) h=0"
+
+
+def per_level_affine_pairings(lvl):
+    """check_affine_pairings as it was before its k-free weights and
+    pairings were kept per algebra: every affine weight built, and every
+    pairing made, at each level."""
+    rep = Report()
+    alg = lvl.alg
+    name, k, M = alg.id.name, lvl.k, level_M(lvl)
+    alpha1 = AffineWeight(alg.alpha1)
+    theta = AffineWeight(alg.theta)
+    delta = AffineWeight(0 * alg.theta, 0, 1)
+    k_lambda0 = AffineWeight(0 * alg.theta, k, 0)
+    lam_prime = k_lambda0 - delta + theta - alpha1
+    alpha0 = delta - theta
+    etas = [delta - AffineWeight(t) for t in alg.theta_i]
+    for i, (theta_i, eta) in enumerate(zip(alg.theta_i, etas)):
+        rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,
+                formula="(Lambda'|eta_i-coroot) = M_i(k)",
+                expected=M[i], computed=affine_coroot_pair(lam_prime, eta))
+        rep.add(f"affine.vacuum-eta[{i + 1}]", algebra=name, k=k,
+                formula="(k Lambda_0|eta_i-coroot) = M_i(k) - chi_i",
+                expected=M[i] - alg.chi[i], computed=affine_coroot_pair(k_lambda0, eta))
+        rep.add(f"affine.xi-restriction[{i + 1}]", algebra=name, k=k,
+                formula="(alpha_1|theta_i-coroot) = -xi(theta_i-coroot)",
+                expected=-coroot_pair(alg.xi, theta_i),
+                computed=coroot_pair(alg.alpha1, theta_i))
+        lam_triple = k_lambda0 - (M[i] + 1) * eta - delta + theta - alpha1
+        if not alg.id.spec.fermionic_generator:
+            rep.add(f"affine.nonvanishing-linear[{i + 1}]", algebra=name, k=k,
+                    formula="(Lambda'''_i|alpha_1) = -k + 1",
+                    expected=-k + 1, computed=affine_pair(lam_triple, alpha1))
+        else:
+            rep.add("spo23.nonvanishing-a0a1", algebra=name, k=k,
+                    formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
+                    expected=-k - F(1, 2), computed=affine_pair(lam_triple, alpha0 + alpha1))
+            rep.add("spo23.nonvanishing-alpha1", algebra=name, k=k,
+                    formula="(k Lambda_0 - (M_1+1)(delta - theta_1)|alpha_1) = (M_1+1)/2",
+                    expected=(M[0] + 1) / 2,
+                    computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
+    samples = ledger._h_samples(lvl)
+    c = classify._ambient_constants(alg.id)
+    pairings = [[affine_pair(x, eta) for x in (k_lambda0, alpha1 + alpha0, alpha1, eta)]
+                for eta in etas]
+    vacuum_failures = [h for h in samples if any(
+        2 * (h * t / c.E + lk - a) != m * n
+        for m, t, (lk, *a_pairs, n) in zip(M, c.theta_eta, pairings) for a in a_pairs)]
+
+    def step_failures():
+        cone = enumerate_Pk(lvl)
+        yield from ((nu, h) for nu in cone[:1] for h in vacuum_failures)
+        for nu in cone:
+            if any(v.numerator * N != 2 * T * v.denominator for v, T, N
+                   in zip(theta_values(lvl, nu), nu._theta_i, c.theta_i_norms)):
+                yield nu, samples[0]
+
+    rep.add("affine.integrability-step", algebra=name, k=k,
+            formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",
+            expected=True, computed=first_failure(step_failures()))
+    return rep
+
+
+# one algebra of each FAMILY_TABLE row: one and two summands, and spo2-3's
+# fermionic generator
+@pytest.mark.parametrize("name", ["psl2-2", "spo2-3", "spo2-5", "d21-2-1", "f4", "g3"])
+def test_affine_constants_per_algebra_match_the_per_level_construction(name):
+    """The k-free affine weights and pairings are built once per algebra,
+    in a module-level lru_cache keyed on the AlgebraId; at two levels of the
+    algebra, check_affine_pairings gives the entries of the construction
+    that built them at every level."""
+    assert hasattr(ledger._affine_constants, "cache_clear")  # seen by the cache tests
+    aid = AlgebraId.parse(name)
+    ledger._affine_constants.cache_clear()
+    for k in standard_levels(aid, 2):
+        lvl = level(aid, k)
+        assert check_affine_pairings(lvl).entries == per_level_affine_pairings(lvl).entries
+    info = ledger._affine_constants.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)

@@ -783,7 +783,7 @@ def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
     # with k = p/q and chi_i = n/d this is x / (q N) <= n/d for the integers
     # x = 2 (V.G'(L theta_i) q - p E) and N = E (theta_i|theta_i), compared
     # as x d (q N) <= n (q N)^2, times d (q N)^2 > 0: every catalog N is
-    # negative, so a cross-multiplication by q N alone would flip the sign
+    # negative, so multiplying by q N alone would reverse the inequality
     p, q = lvl.k.as_integer_ratio()
     return all(2 * (_dot(v, g_t) * q - p * c.E) * chi.denominator * q * norm
                <= chi.numerator * (q * norm) ** 2

@@ -168,12 +168,12 @@ def reflected_base(alg: AlgebraData) -> SimpleRootSet:
 
 def eta_membership_check(alg: AlgebraData) -> Report:
     """Verify eta_i = delta - theta_i lies in the doubly reflected base."""
-    rep = Report()
+    rep = Report(alg.id.name)
     base = reflected_base(alg)
     for i, theta_i in enumerate(alg.theta_i):
         eta = AffineWeight(-theta_i, 0, 1)
         member = next((r for r in base if r.weight == eta), None)
-        rep.add(f"affine.eta-membership[{i + 1}]", algebra=alg.id.name,
+        rep.add(f"affine.eta-membership[{i + 1}]",
                 formula="delta - theta_i belongs to the doubly reflected base, with even parity",
                 expected=True,
                 computed=member is not None and member.parity == "even")

@@ -563,40 +563,33 @@ def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
 
 def selfcheck_algebra(alg: AlgebraData) -> Report:
     """Validate every catalog invariant of one family instance."""
-    rep = Report()
-    name = alg.id.name
+    rep = Report(alg.id.name)
 
-    rep.add("catalog.theta-norm", algebra=name,
-            formula="(theta|theta) = 2",
+    rep.add("catalog.theta-norm", formula="(theta|theta) = 2",
             expected=Fraction(2), computed=pair(alg.theta, alg.theta))
 
-    rep.add("catalog.alpha1-isotropic", algebra=name,
-            formula="(alpha_1|alpha_1) = 0",
+    rep.add("catalog.alpha1-isotropic", formula="(alpha_1|alpha_1) = 0",
             expected=Fraction(0), computed=pair(alg.alpha1, alg.alpha1))
 
-    rep.add("catalog.theta-alpha1", algebra=name,
-            formula="(theta|alpha_1) = 1",
+    rep.add("catalog.theta-alpha1", formula="(theta|alpha_1) = 1",
             expected=Fraction(1), computed=pair(alg.theta, alg.alpha1))
 
-    rep.add("catalog.dual-coxeter", algebra=name,
-            formula="1 + (rho|theta) equals the catalog h_check",
+    rep.add("catalog.dual-coxeter", formula="1 + (rho|theta) equals the catalog h_check",
             expected=expected_h_check(alg.id), computed=1 + pair(alg.rho, alg.theta))
 
-    rep.add("catalog.chi-values", algebra=name,
-            formula="-xi(theta_i-coroot) equals the catalog chi_i",
+    rep.add("catalog.chi-values", formula="-xi(theta_i-coroot) equals the catalog chi_i",
             expected=expected_chi(alg.id),
             computed=tuple(-coroot_pair(alg.xi, t) for t in alg.theta_i))
 
     for i in range(alg.summands):
-        rep.add(f"catalog.gamma-decomposition[{i + 1}]", algebra=name,
+        rep.add(f"catalog.gamma-decomposition[{i + 1}]",
                 formula="theta - gamma_1 - gamma_2 = -theta_i",
                 expected=(-alg.theta_i[i]).coords,
                 computed=(alg.theta - alg.gamma1[i] - alg.gamma2[i]).coords)
 
     odd_pos = [r.weight for r in alg.positive_roots if r.is_odd]
     gammas_listed = all(g in odd_pos for g in alg.gamma1 + alg.gamma2)
-    rep.add("catalog.gamma-odd-positive", algebra=name,
-            formula="gamma_1, gamma_2 are odd positive roots",
+    rep.add("catalog.gamma-odd-positive", formula="gamma_1, gamma_2 are odd positive roots",
             expected=True, computed=gammas_listed)
 
     coords = [r.weight.coords for r in alg.positive_roots]
@@ -604,7 +597,7 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
     no_dups = len(pos_set) == len(coords)
     no_neg = all(tuple(-c for c in w) not in pos_set for w in coords)
     simple_listed = all(s.weight.coords in pos_set for s in alg.simple_roots)
-    rep.add("catalog.positive-root-sanity", algebra=name,
+    rep.add("catalog.positive-root-sanity",
             formula="positive roots: no duplicates, no alpha with -alpha, simples included",
             expected=True, computed=no_dups and no_neg and simple_listed)
 
@@ -619,13 +612,13 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
             if g == 2:
                 theta_count += 1
                 grading_ok = grading_ok and r.weight == alg.theta
-    rep.add("catalog.parity-grading", algebra=name,
+    rep.add("catalog.parity-grading",
             formula="odd positives sit in x-degree 1/2, even in degree 0 or 1 (theta only)",
             expected=True, computed=grading_ok and theta_count == 1)
 
     natural_pos = [r.weight for r in alg.positive_roots
                    if not r.is_odd and pair(r.weight, alg.theta) == 0]
-    rep.add("catalog.natural-span", algebra=name,
+    rep.add("catalog.natural-span",
             formula="every positive g-natural root is a Z+-combination of the natural simples",
             expected=True,
             computed=all(_in_natural_cone(alg, w) for w in natural_pos))
@@ -635,7 +628,7 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
         highest = highest and t.coords in pos_set
         for s in alg.natural_simple:
             highest = highest and (t + s.weight).coords not in pos_set
-    rep.add("catalog.theta-i-highest", algebra=name,
+    rep.add("catalog.theta-i-highest",
             formula="each theta_i is a positive g-natural root and theta_i + simple is never a root",
             expected=True, computed=highest)
 
@@ -643,15 +636,14 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
         coroot_pair(alg.natural_fundamental[a], alg.natural_simple[b]) == int(a == b)
         for a in range(alg.rank_natural) for b in range(alg.rank_natural))
     orthogonal = all(pair(w, alg.theta) == 0 for w in alg.natural_fundamental)
-    rep.add("catalog.fundamental-duality", algebra=name,
+    rep.add("catalog.fundamental-duality",
             formula="omega_a(alpha_b-coroot) = delta_ab and omega_a orthogonal to theta",
             expected=True, computed=duality and orthogonal)
 
     xi_dominant = all(
         (lambda v: v.denominator == 1 and v >= 0)(coroot_pair(alg.xi, s))
         for s in alg.natural_simple)
-    rep.add("catalog.xi-dominant", algebra=name,
-            formula="xi is a dominant integral weight of g-natural",
+    rep.add("catalog.xi-dominant", formula="xi is a dominant integral weight of g-natural",
             expected=True, computed=xi_dominant)
 
     return rep

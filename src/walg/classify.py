@@ -22,7 +22,6 @@ polynomial identity valid verbatim over any field extension.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -370,14 +369,10 @@ def _label_algebra(lvl: Level, nu: DominantWeight) -> AlgebraId:
     return aid
 
 
-def _theta_ints(lvl: Level, nu: DominantWeight) -> tuple[int, ...]:
-    _label_algebra(lvl, nu)
-    return nu._comark_values
-
-
 def theta_values(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     """nu(theta_i-coroot) per summand (integers for catalog weights)."""
-    return tuple(map(Fraction, _theta_ints(lvl, nu)))
+    _label_algebra(lvl, nu)
+    return tuple(map(Fraction, nu._comark_values))
 
 
 def _require_range(lvl: Level):
@@ -572,12 +567,17 @@ def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
     return Fraction(c0 * s * s + r * (c1 * s + c2 * r), den * s * s)
 
 
-def extremal_h_set(lvl: Level, nu: DominantWeight) -> frozenset[Fraction]:
-    """{(xi|nu), k + 1 - (xi|nu)}; a singleton when the two coincide."""
+def extremal_h_set(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
+    """The two-point set {(xi|nu), k + 1 - (xi|nu)} in increasing order: a
+    pair, or one point when the two coincide."""
     _label_algebra(lvl, nu)
     x, (p, q) = nu.xi_pair, lvl.k.as_integer_ratio()
     n, y = x.as_integer_ratio()
-    return frozenset((x, Fraction((p + q) * y - q * n, q * y)))  # k + 1 - x
+    r = (p + q) * y - q * n  # q y (k + 1 - x), and q y > 0
+    if r == q * n:
+        return (x,)
+    mirror = Fraction(r, q * y)
+    return (x, mirror) if r > q * n else (mirror, x)
 
 
 @dataclass(frozen=True)
@@ -634,12 +634,7 @@ def affine_module_descends(lvl: Level, label: AffineModuleLabel) -> bool:
     extremal = _extremal(lvl, label.nu)
     if not extremal:
         return extremal is not None
-    # h in extremal_h_set(lvl, nu) without building it: with h = r/s,
-    # k = p/q and (xi|nu) = x/y in lowest terms, h = x/y or h = k + 1 - x/y,
-    # which is r q y = s ((p + q) y - q x)
-    (r, s), (p, q) = label.h.as_integer_ratio(), lvl.k.as_integer_ratio()
-    x, y = label.nu.xi_pair.as_integer_ratio()
-    return (r, s) == (x, y) or r * q * y == s * ((p + q) * y - q * x)
+    return label.h in extremal_h_set(lvl, label.nu)
 
 
 def w_module_exists(lvl: Level, label: WModuleLabel) -> bool:
@@ -724,7 +719,7 @@ class WModuleRecord(NamedTuple):
 class AffineModuleRecord(NamedTuple):
     nu: DominantWeight
     extremal: bool
-    h_set: Optional[frozenset[Fraction]]  # None = h is free
+    h_set: Optional[tuple[Fraction, ...]]  # extremal_h_set; None = h is free
 
 
 def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
@@ -823,17 +818,15 @@ def cross_identity_report(lvl: Level) -> Report:
     Each (nu, h) comparison is cleared to integers: see _ell0_coeffs,
     _threshold_identity and _reduction_vanishes.
     """
-    rep = Report()
-    name = lvl.name
-    k = lvl.k
-    alg = lvl.alg
+    k, alg = lvl.k, lvl.alg
+    rep = Report(lvl.name, k)
 
-    rep.add("classify.M-closed-form", algebra=name, k=k,
+    rep.add("classify.M-closed-form",
             formula="2k/(theta_i|theta_i) + chi_i equals the closed-form levels",
             expected=table_M(lvl), computed=level_M(lvl))
 
     M = level_M(lvl)
-    rep.add("classify.M-nonneg-integers", algebra=name, k=k,
+    rep.add("classify.M-nonneg-integers",
             formula="each M_i(k) is a nonnegative integer on the range",
             expected=True,
             computed=all(m.denominator == 1 and m >= 0 for m in M))
@@ -841,7 +834,7 @@ def cross_identity_report(lvl: Level) -> Report:
     cone = enumerate_Pk(lvl)
     extremal = [is_extremal(lvl, nu) for nu in cone]  # aligned with the cone
 
-    rep.add("classify.extremal-dual", algebra=name, k=k,
+    rep.add("classify.extremal-dual",
             formula="extremality by the chi margin agrees with nu + xi leaving the cone",
             expected=True,
             computed=first_failure((nu, None) for nu, ext in zip(cone, extremal)
@@ -866,8 +859,7 @@ def cross_identity_report(lvl: Level) -> Report:
                 if c1 * B + c2 * C:
                     yield nu, h
 
-    rep.add("classify.ell0-symmetry", algebra=name, k=k,
-            formula="ell0(h) = ell0(k + 1 - h)",
+    rep.add("classify.ell0-symmetry", formula="ell0(h) = ell0(k + 1 - h)",
             expected=True, computed=first_failure(symmetry_failures()))
 
     # ell0(h) - A is a quadratic in h with leading coefficient 1/(k + h_check)
@@ -884,22 +876,19 @@ def cross_identity_report(lvl: Level) -> Report:
                 if ell0(lvl, nu, h) != threshold:
                     yield nu, h
 
-    rep.add("classify.threshold-roots", algebra=name, k=k,
+    rep.add("classify.threshold-roots",
             formula="ell0(h) = A(k, nu) exactly for h in {(xi|nu), k+1-(xi|nu)}",
             expected=True, computed=first_failure(threshold_failures()))
 
-    # the h of a non-extremal weight: these, sorted once per level, with
-    # (xi|nu) put in its place
+    # the h of a non-extremal weight: these, sorted once per level, and (xi|nu)
+    # sorted in when it is not one of them
     fixed_hs = sorted({Fraction(0), Fraction(-1, 2), k + 1})
 
     def reduce_failures():
         for nu, ext in zip(cone, extremal):
-            if ext:
-                hs = sorted(extremal_h_set(lvl, nu))
-            else:
-                x = nu.xi_pair
-                i = bisect_left(fixed_hs, x)
-                hs = fixed_hs if x in fixed_hs[i:i + 1] else [*fixed_hs[:i], x, *fixed_hs[i:]]
+            x = nu.xi_pair
+            hs = (extremal_h_set(lvl, nu) if ext
+                  else fixed_hs if x in fixed_hs else sorted([*fixed_hs, x]))
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):
@@ -908,30 +897,29 @@ def cross_identity_report(lvl: Level) -> Report:
                 if reduced is not None and not w_module_exists(lvl, reduced):
                     yield nu, h
 
-    rep.add("classify.reduce-descends", algebra=name, k=k,
+    rep.add("classify.reduce-descends",
             formula="reduction of an admissible affine label vanishes or is an admissible W-label",
             expected=True, computed=first_failure(reduce_failures()))
 
     # on integers: M_i + chi_i - v is an integer iff M_i + chi_i is one,
     # and then nonnegative iff v <= floor(M_i + chi_i)
     margins_integral = all(m.denominator == 1 for m in lvl._margins)
-    rep.add("classify.margin-nonneg", algebra=name, k=k,
+    rep.add("classify.margin-nonneg",
             formula="M_i(k) + chi_i - nu(theta_i-coroot) is a nonnegative integer off the extremal set",
             expected=True,
             computed=first_failure(
                 (nu, None) for nu, ext in zip(cone, extremal) if not ext
-                and not (margins_integral and all(map(le, _theta_ints(lvl, nu), lvl._floors[1])))))
+                and not (margins_integral and all(map(le, nu._comark_values, lvl._floors[1])))))
 
     vacuum = WModuleLabel(DominantWeight(alg.id, (0,) * alg.rank_natural), Fraction(0))
-    rep.add("classify.vacuum-exists", algebra=name, k=k,
+    rep.add("classify.vacuum-exists",
             formula="the vacuum W-label (0, 0) always exists on the range",
             expected=True, computed=w_module_exists(lvl, vacuum))
 
     # a free one-parameter family exists whenever no margin M_i + chi_i is
     # negative (the boundary levels where one is are the collapsing ones)
     if all(m >= 0 for m in lvl._margins):
-        rep.add("classify.free-family", algebra=name, k=k,
-                formula="some non-extremal nu carries a free ell0 family",
+        rep.add("classify.free-family", formula="some non-extremal nu carries a free ell0 family",
                 expected=True,
                 computed=not all(extremal))
 

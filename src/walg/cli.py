@@ -183,8 +183,7 @@ def _w_record(rec: WModuleRecord, unitarity: str) -> str:
 
 def _affine_record(rec: AffineModuleRecord) -> str:
     """One affine-module record in one step, as _w_record writes a W one."""
-    h = ('"free"' if rec.h_set is None
-         else _column(f'"{rational_str(h)}"' for h in sorted(rec.h_set)))
+    h = '"free"' if rec.h_set is None else _column(f'"{rational_str(h)}"' for h in rec.h_set)
     return (f'    {{\n      "nu_coeffs": {_column(map(str, rec.nu.coeffs))},\n'
             f'      "extremal": {"true" if rec.extremal else "false"},\n'
             f'      "h": {h}\n    }}')
@@ -251,7 +250,7 @@ def _cmd_modules(args) -> tuple[int, str]:
         nu = ",".join(map(str, rec.nu.coeffs))
         kind = "extremal" if rec.extremal else "generic"
         if args.affine:
-            h = "free" if rec.h_set is None else " or ".join(map(rational_str, sorted(rec.h_set)))
+            h = "free" if rec.h_set is None else " or ".join(map(rational_str, rec.h_set))
             lines.append(f"  nu=({nu})  h={h}  [{kind}]")
         else:
             ell0 = "free" if rec.ell0 is None else rational_str(rec.ell0)

@@ -38,9 +38,8 @@ def check_singular_weights(lvl: Level) -> Report:
     and one fermionic mode of weight (xi, 3/2), giving (2(m-2) omega_1,
     m - 3/2) with m = M_1(k) + 2.
     """
-    rep = Report()
     alg = lvl.alg
-    name = alg.id.name
+    rep = Report(alg.id.name, lvl.k)
     M = level_M(lvl)
     M_closed = table_M(lvl)
 
@@ -48,7 +47,7 @@ def check_singular_weights(lvl: Level) -> Report:
         n_modes = M[i] + 1
         built_weight = n_modes * theta_i
         built_energy = n_modes * Fraction(1)
-        rep.add(f"ideal.generator-weight[{i + 1}]", algebra=name, k=lvl.k,
+        rep.add(f"ideal.generator-weight[{i + 1}]",
                 formula="(M_i+1) current modes give W-weight ((M_i+1) theta_i, M_i+1)",
                 expected=(tuple(((M_closed[i] + 1) * theta_i).coords), M_closed[i] + 1),
                 computed=(tuple(built_weight.coords), built_energy))
@@ -58,18 +57,11 @@ def check_singular_weights(lvl: Level) -> Report:
         built = (M[0] - 1) * alg.theta_i[0] + alg.xi
         built_energy = (M[0] - 1) + Fraction(3, 2)
         omega1 = alg.natural_fundamental[0]
-        rep.add("ideal.spo23-generator-weight", algebra=name, k=lvl.k,
+        rep.add("ideal.spo23-generator-weight",
                 formula="(M_1-1) current modes plus one fermionic mode give (2(m-2) omega_1, m-3/2)",
                 expected=(tuple((2 * (m - 2) * omega1).coords), m - Fraction(3, 2)),
                 computed=(tuple(built.coords), built_energy))
     return rep
-
-
-def _h_samples(lvl: Level):
-    # (theta_hat|eta_i) = -(theta|theta_i) = -(alpha_0|eta_i), so a nonzero
-    # h term already splits the two root sums at h = 0 and the second sample
-    # never fails first; it stays, at one vacuum test per summand and level
-    return (Fraction(0), lvl.k - Fraction(1, 3))
 
 
 @lru_cache(maxsize=None)
@@ -92,10 +84,8 @@ def _affine_constants(aid: AlgebraId):
 
 def check_affine_pairings(lvl: Level) -> Report:
     """Affine pairing scalars used by the descent and ideal arguments."""
-    rep = Report()
-    alg = lvl.alg
-    name = alg.id.name
-    k = lvl.k
+    alg, k = lvl.alg, lvl.k
+    rep = Report(alg.id.name, k)
     M = level_M(lvl)
     fermionic = alg.id.spec.fermionic_generator
     # the k-free part is the algebra's; per level only k Lambda_0, Lambda'
@@ -106,29 +96,26 @@ def check_affine_pairings(lvl: Level) -> Report:
     k_pairs = [affine_pair(k_lambda0, eta) for eta, *_ in summands]  # (k Lambda_0|eta_i)
 
     for i, (eta, norm, _, _, xi_value, alpha1_value) in enumerate(summands):
-        rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,
-                formula="(Lambda'|eta_i-coroot) = M_i(k)",
+        rep.add(f"affine.level-pairing[{i + 1}]", formula="(Lambda'|eta_i-coroot) = M_i(k)",
                 expected=M[i], computed=2 * affine_pair(lam_prime, eta) / norm)
 
-        rep.add(f"affine.vacuum-eta[{i + 1}]", algebra=name, k=k,
-                formula="(k Lambda_0|eta_i-coroot) = M_i(k) - chi_i",
+        rep.add(f"affine.vacuum-eta[{i + 1}]", formula="(k Lambda_0|eta_i-coroot) = M_i(k) - chi_i",
                 expected=M[i] - alg.chi[i], computed=2 * k_pairs[i] / norm)
 
-        rep.add(f"affine.xi-restriction[{i + 1}]", algebra=name, k=k,
+        rep.add(f"affine.xi-restriction[{i + 1}]",
                 formula="(alpha_1|theta_i-coroot) = -xi(theta_i-coroot)",
                 expected=xi_value, computed=alpha1_value)
 
         lam_triple = lam_prime - (M[i] + 1) * eta
         if not fermionic:
-            rep.add(f"affine.nonvanishing-linear[{i + 1}]", algebra=name, k=k,
+            rep.add(f"affine.nonvanishing-linear[{i + 1}]",
                     formula="(Lambda'''_i|alpha_1) = -k + 1",
                     expected=-k + 1, computed=affine_pair(lam_triple, alpha1))
         else:
-            rep.add("spo23.nonvanishing-a0a1", algebra=name, k=k,
-                    formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
+            rep.add("spo23.nonvanishing-a0a1", formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
                     expected=-k - Fraction(1, 2),
                     computed=affine_pair(lam_triple, alpha01))
-            rep.add("spo23.nonvanishing-alpha1", algebra=name, k=k,
+            rep.add("spo23.nonvanishing-alpha1",
                     formula="(k Lambda_0 - (M_1+1)(delta - theta_1)|alpha_1) = (M_1+1)/2",
                     expected=(M[0] + 1) / 2,
                     computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
@@ -137,27 +124,29 @@ def check_affine_pairings(lvl: Level) -> Report:
     # nu_h = h theta_hat + w + k Lambda_0.  By bilinearity, and since
     # (w|eta_i) = -(w|theta_i) and (eta_i|eta_i) = (theta_i|theta_i), it
     # splits into the vacuum identity (h theta_hat + k Lambda_0 - a|eta_i-coroot)
-    # = M_i(k) for a = alpha_1 [+ alpha_0], once per level and h sample, and
-    # per weight the integer equation v_i N_i = 2 T_i, with v_i =
-    # nu(theta_i-coroot), T_i = E (w|theta_i) and N_i = E (theta_i|theta_i).
-    # The cone starts at the zero weight, where the step is the vacuum
-    # identity; past it, the step no longer depends on h once that holds.
-    samples = _h_samples(lvl)
+    # = M_i(k) for a = alpha_1 [+ alpha_0], once per level, and per weight
+    # the integer equation v_i N_i = 2 T_i, with v_i = nu(theta_i-coroot),
+    # T_i = E (w|theta_i) and N_i = E (theta_i|theta_i).  The vacuum identity
+    # is linear in h, so it is checked by its coefficients: the constant
+    # 2 ((k Lambda_0|eta_i) - (a|eta_i)) = M_i (eta_i|eta_i) for both a, and
+    # E (theta_hat|eta_i) = 0.  Its failure is named at the zero weight, where
+    # the cone starts, and h = 0, where a nonzero (theta_hat|eta_i) =
+    # -(alpha_0|eta_i) already fails one a.  Past it, the step is free of h.
     c = _ambient_constants(alg.id)  # E (theta_hat|eta_i) and N_i
-    vacuum_failures = [h for h in samples if any(
-        2 * (h * t / c.E + lk - a) != m * n
-        for m, t, lk, (_, n, *a_pairs, _, _) in zip(M, c.theta_eta, k_pairs, summands)
-        for a in a_pairs)]
+    vacuum = all(not t and 2 * (lk - a) == m * n
+                 for m, t, lk, (_, n, *a_pairs, _, _) in zip(M, c.theta_eta, k_pairs, summands)
+                 for a in a_pairs)
+    h0 = Fraction(0)
 
     def step_failures():
         cone = enumerate_Pk(lvl)
-        yield from ((nu, h) for nu in cone[:1] for h in vacuum_failures)
+        yield from ((nu, h0) for nu in cone[:1] if not vacuum)
         for nu in cone:
             if any(v.numerator * N != 2 * T * v.denominator for v, T, N
                    in zip(theta_values(lvl, nu), nu._theta_i, c.theta_i_norms)):
-                yield nu, samples[0]
+                yield nu, h0
 
-    rep.add("affine.integrability-step", algebra=name, k=k,
+    rep.add("affine.integrability-step",
             formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",
             expected=True, computed=first_failure(step_failures()))
 
@@ -178,7 +167,7 @@ def check_d21_cone(m: int, n: int, q: int) -> Report:
         raise ValueError("d21 parameters must be coprime")
     if q < 1:
         raise ValueError("q must be a positive integer")
-    rep = Report()
+    rep = Report(f"d21-{m}-{n}", Fraction(-q * m * n, m + n))
     # columns in coordinates (alpha_2 coefficient, alpha_3 coefficient, energy)
     half = Fraction(1, 2)
     a = (
@@ -188,14 +177,11 @@ def check_d21_cone(m: int, n: int, q: int) -> Report:
     )
     b = vector([m * q, -n * q, (m - n) * q])
     solution = solve_linear(a, b)
-    rep.add("d21.cone-coefficients", algebra=f"d21-{m}-{n}",
-            k=Fraction(-q * m * n, m + n),
+    rep.add("d21.cone-coefficients",
             formula="(mq alpha_2, mq) - (nq alpha_3, nq) over the cone basis",
             expected=vector([-n * q, m * q, 2 * (m - n) * q]),
             computed=solution)
-    rep.add("d21.cone-negative", algebra=f"d21-{m}-{n}",
-            k=Fraction(-q * m * n, m + n),
-            formula="the first cone coefficient is negative",
+    rep.add("d21.cone-negative", formula="the first cone coefficient is negative",
             expected=True, computed=solution[0] < 0)
     return rep
 
@@ -212,8 +198,7 @@ def check_zhu_consequences(lvl: Level) -> Report:
     aid = alg.id
     if not aid.spec.zhu:
         raise ValueError("zhu consequences are recorded for spo2-3 and psl2-2 only")
-    rep = Report()
-    name = aid.name
+    rep = Report(aid.name, lvl.k)
     M = level_M(lvl)
 
     if aid.spec.fermionic_generator:  # spo2-3: two pinned labels
@@ -221,16 +206,14 @@ def check_zhu_consequences(lvl: Level) -> Report:
         pinned = [j for j in (m - 3, m - 2) if j >= 0]
         quarter = Fraction(1, 4)
         for j in pinned:
-            rep.add(f"zhu.threshold[j={j}]", algebra=name, k=lvl.k,
-                    formula="A(-m/4, j omega_1) = j/4 at j in {m-3, m-2}",
+            rep.add(f"zhu.threshold[j={j}]", formula="A(-m/4, j omega_1) = j/4 at j in {m-3, m-2}",
                     expected=j * quarter,
                     computed=A_value(lvl, DominantWeight(aid, (int(j),))))
         expected_list = [((int(j),), "free") for j in range(int(m) - 3)]
         expected_list += [((int(j),), rational_str(j * quarter)) for j in pinned]
     else:
         m = M[0]
-        rep.add(f"zhu.threshold[j={m}]", algebra=name, k=lvl.k,
-                formula="A(-m-1, m omega_1) = m/2",
+        rep.add(f"zhu.threshold[j={m}]", formula="A(-m-1, m omega_1) = m/2",
                 expected=m / 2,
                 computed=A_value(lvl, DominantWeight(aid, (int(m),))))
         expected_list = [((int(j),), "free") for j in range(int(m))]
@@ -240,7 +223,7 @@ def check_zhu_consequences(lvl: Level) -> Report:
         (rec.nu.coeffs, "free" if rec.ell0 is None else rational_str(rec.ell0))
         for rec in classify_w_modules(lvl)
     ]
-    rep.add("zhu.module-list", algebra=name, k=lvl.k,
+    rep.add("zhu.module-list",
             formula="the classified W-list matches the explicit top-component list",
             expected=expected_list, computed=computed_list)
     return rep

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import rational_str
@@ -42,17 +42,20 @@ class CheckEntry:
         return f"[{status}] {self.check_id} ({where}) {self.formula}{tail}"
 
 
-@dataclass
 class Report:
-    entries: list[CheckEntry] = field(default_factory=list)
+    """Check entries of one algebra at one level k, or of several reports
+    gathered by extend (Report(), whose own entries name neither)."""
 
-    def add(self, check_id: str, *, algebra: str = "", k=None, formula: str = "",
-            expected, computed) -> bool:
+    def __init__(self, algebra: str = "", k=None):
+        self.algebra, self.k = algebra, "" if k is None else rational_str(k)
+        self.entries: list[CheckEntry] = []
+
+    def add(self, check_id: str, *, formula: str = "", expected, computed) -> bool:
         passed = expected == computed
         self.entries.append(CheckEntry(
             check_id=check_id,
-            algebra=algebra,
-            k="" if k is None else rational_str(k),
+            algebra=self.algebra,
+            k=self.k,
             formula=formula,
             expected=render_value(expected),
             computed=render_value(computed),

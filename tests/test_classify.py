@@ -215,10 +215,10 @@ def test_ell0_examples():
 
 def test_extremal_h_set_examples():
     lvl = level("spo2-3", F(-1))
-    assert extremal_h_set(lvl, nu_of(lvl, 0)) == {F(0), lvl.k + 1}
-    assert extremal_h_set(lvl, nu_of(lvl, 2)) == {F(-1, 2), F(1, 2)}
+    assert extremal_h_set(lvl, nu_of(lvl, 0)) == (F(0),)  # (xi|0) = 0 = k + 1
+    assert extremal_h_set(lvl, nu_of(lvl, 2)) == (F(-1, 2), F(1, 2))
     lvl2 = level("psl2-2", F(-2))
-    assert extremal_h_set(lvl2, nu_of(lvl2, 1)) == {F(-1, 2)}  # genuine singleton
+    assert extremal_h_set(lvl2, nu_of(lvl2, 1)) == (F(-1, 2),)  # genuine singleton
 
 
 def test_threshold_meets_ell0_exactly_on_h_set():
@@ -741,7 +741,7 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
             assert nu._theta == E * pair(alg.theta, w)
             assert nu.xi_pair == pair(alg.xi, w)
             assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
-            assert extremal_h_set(lvl, nu) == {nu.xi_pair, k + 1 - nu.xi_pair}
+            assert extremal_h_set(lvl, nu) == tuple(sorted({nu.xi_pair, k + 1 - nu.xi_pair}))
             for h in (F(0), F(1, 3), k / 2):
                 assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
             dual[lvl, nu] = classify._nu_plus_xi_in_Pk(lvl, nu)
@@ -788,9 +788,9 @@ def fraction_reduction_vanishes(k, h):
 
 
 def fraction_extremal_h_set(lvl, nu):
-    """The Fraction form of extremal_h_set, verbatim."""
+    """The Fraction form of extremal_h_set, in increasing order."""
     x = nu.xi_pair
-    return frozenset((x, lvl.k + 1 - x))
+    return tuple(sorted({x, lvl.k + 1 - x}))
 
 
 @st.composite
@@ -827,6 +827,34 @@ def test_integer_cross_identities_match_fraction_references(label):
         for g in (h, x, k + 1 - x, x + 1, k - x):
             want = where is not None and (not where or g in fraction_extremal_h_set(lvl, nu))
             assert affine_module_descends(lvl, AffineModuleLabel(nu, g)) is want, g
+
+
+def integer_equations_descend(lvl, nu, h):
+    """affine_module_descends as it was before it read extremal_h_set: for
+    an extremal nu, h = r/s, k = p/q and (xi|nu) = x/y in lowest terms,
+    h = x/y or h = k + 1 - x/y, which is r q y = s ((p + q) y - q x)."""
+    where = fraction_extremal(lvl, nu)
+    if not where:
+        return where is not None
+    (r, s), (p, q) = h.as_integer_ratio(), lvl.k.as_integer_ratio()
+    x, y = nu.xi_pair.as_integer_ratio()
+    return (r, s) == (x, y) or r * q * y == s * ((p + q) * y - q * x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_labels())
+def test_extremal_h_set_is_increasing_and_descends_by_it(label):
+    """At enumerable levels: the two-point set is strictly increasing, one
+    point exactly when 2 (xi|nu) = k + 1, and affine_module_descends agrees
+    with the integer equations at both points, a seventh off each, and h."""
+    lvl, nu, h = label
+    hs = extremal_h_set(lvl, nu)
+    assert all(a < b for a, b in zip(hs, hs[1:]))
+    assert (len(hs) == 1) is (2 * nu.xi_pair == lvl.k + 1)
+    assert set(hs) == {nu.xi_pair, lvl.k + 1 - nu.xi_pair}
+    for g in (h, *(x + d for x in hs for d in (0, F(1, 7), F(-1, 7)))):
+        assert affine_module_descends(lvl, AffineModuleLabel(nu, g)) is \
+            integer_equations_descend(lvl, nu, g), g
 
 
 # --- the level constants and integer bounds against the forms they replaced ---

@@ -70,9 +70,9 @@ def test_modules_with_ledger_section():
 
 
 def _ledger_with_one_failure(lvl):
-    report = Report()
-    report.add("fake.pass", algebra=lvl.name, k=lvl.k, formula="1 = 1", expected=1, computed=1)
-    report.add("fake.fail", algebra=lvl.name, k=lvl.k, formula="1 = 2", expected=1, computed=2)
+    report = Report(lvl.name, lvl.k)
+    report.add("fake.pass", formula="1 = 1", expected=1, computed=1)
+    report.add("fake.fail", formula="1 = 2", expected=1, computed=2)
     return report
 
 
@@ -466,7 +466,8 @@ VERDICTS = st.sampled_from([classify.UNITARY, classify.OPEN,
 W_RECORDS = st.builds(WModuleRecord, WEIGHTS, st.none() | RATIONALS, st.booleans(),
                       RATIONALS, VERDICTS)
 AFFINE_RECORDS = st.builds(AffineModuleRecord, WEIGHTS, st.booleans(),
-                           st.none() | st.frozensets(RATIONALS, min_size=1, max_size=2))
+                           st.none() | st.lists(RATIONALS, min_size=1, max_size=2, unique=True)
+                           .map(lambda hs: tuple(sorted(hs))))
 HEADER = cli._catalog_header(classify.level("f4", -2))
 
 

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from walg import classify, ledger
+from test_classify import MUTATION_LEVELS, mutated_algebras
+from walg import classify, cli, ledger
 from walg.affine import AffineWeight, affine_coroot_pair, affine_pair
 from walg.catalog import AlgebraId, coroot_pair
 from walg.classify import (enumerate_Pk, first_failure, level, level_M,
@@ -10,7 +11,7 @@ from walg.classify import (enumerate_Pk, first_failure, level, level_M,
 from walg.ledger import (check_affine_pairings, check_d21_cone,
                          check_singular_weights, check_zhu_consequences,
                          run_level_ledger)
-from walg.report import Report
+from walg.report import Report, render_value
 
 GRID = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "spo2-7",
         "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3"]
@@ -144,9 +145,9 @@ def per_level_affine_pairings(lvl):
     """check_affine_pairings as it was before its k-free weights and
     pairings were kept per algebra: every affine weight built, and every
     pairing made, at each level."""
-    rep = Report()
     alg = lvl.alg
     name, k, M = alg.id.name, lvl.k, level_M(lvl)
+    rep = Report(name, k)
     alpha1 = AffineWeight(alg.alpha1)
     theta = AffineWeight(alg.theta)
     delta = AffineWeight(0 * alg.theta, 0, 1)
@@ -155,30 +156,47 @@ def per_level_affine_pairings(lvl):
     alpha0 = delta - theta
     etas = [delta - AffineWeight(t) for t in alg.theta_i]
     for i, (theta_i, eta) in enumerate(zip(alg.theta_i, etas)):
-        rep.add(f"affine.level-pairing[{i + 1}]", algebra=name, k=k,
+        rep.add(f"affine.level-pairing[{i + 1}]",
                 formula="(Lambda'|eta_i-coroot) = M_i(k)",
                 expected=M[i], computed=affine_coroot_pair(lam_prime, eta))
-        rep.add(f"affine.vacuum-eta[{i + 1}]", algebra=name, k=k,
+        rep.add(f"affine.vacuum-eta[{i + 1}]",
                 formula="(k Lambda_0|eta_i-coroot) = M_i(k) - chi_i",
                 expected=M[i] - alg.chi[i], computed=affine_coroot_pair(k_lambda0, eta))
-        rep.add(f"affine.xi-restriction[{i + 1}]", algebra=name, k=k,
+        rep.add(f"affine.xi-restriction[{i + 1}]",
                 formula="(alpha_1|theta_i-coroot) = -xi(theta_i-coroot)",
                 expected=-coroot_pair(alg.xi, theta_i),
                 computed=coroot_pair(alg.alpha1, theta_i))
         lam_triple = k_lambda0 - (M[i] + 1) * eta - delta + theta - alpha1
         if not alg.id.spec.fermionic_generator:
-            rep.add(f"affine.nonvanishing-linear[{i + 1}]", algebra=name, k=k,
+            rep.add(f"affine.nonvanishing-linear[{i + 1}]",
                     formula="(Lambda'''_i|alpha_1) = -k + 1",
                     expected=-k + 1, computed=affine_pair(lam_triple, alpha1))
         else:
-            rep.add("spo23.nonvanishing-a0a1", algebra=name, k=k,
+            rep.add("spo23.nonvanishing-a0a1",
                     formula="(mu|alpha_0 + alpha_1) = -k - 1/2",
                     expected=-k - F(1, 2), computed=affine_pair(lam_triple, alpha0 + alpha1))
-            rep.add("spo23.nonvanishing-alpha1", algebra=name, k=k,
+            rep.add("spo23.nonvanishing-alpha1",
                     formula="(k Lambda_0 - (M_1+1)(delta - theta_1)|alpha_1) = (M_1+1)/2",
                     expected=(M[0] + 1) / 2,
                     computed=affine_pair(k_lambda0 - (M[0] + 1) * eta, alpha1))
-    samples = ledger._h_samples(lvl)
+    rep.add("affine.integrability-step",
+            formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",
+            expected=True, computed=two_sample_integrability_step(lvl))
+    return rep
+
+
+def two_sample_integrability_step(lvl):
+    """The computed value of affine.integrability-step as it was before the
+    vacuum identity was checked by its two coefficients in h: the identity
+    evaluated at the samples h = 0 and h = k - 1/3, with its h term
+    h (theta_hat|eta_i) formed as h t / E, verbatim but for the affine
+    weights and pairings, which it builds itself."""
+    alg, k, M = lvl.alg, lvl.k, level_M(lvl)
+    alpha1, theta = AffineWeight(alg.alpha1), AffineWeight(alg.theta)
+    delta = AffineWeight(0 * alg.theta, 0, 1)
+    k_lambda0, alpha0 = AffineWeight(0 * alg.theta, k, 0), delta - theta
+    etas = [delta - AffineWeight(t) for t in alg.theta_i]
+    samples = (F(0), k - F(1, 3))
     c = classify._ambient_constants(alg.id)
     pairings = [[affine_pair(x, eta) for x in (k_lambda0, alpha1 + alpha0, alpha1, eta)]
                 for eta in etas]
@@ -194,10 +212,7 @@ def per_level_affine_pairings(lvl):
                    in zip(theta_values(lvl, nu), nu._theta_i, c.theta_i_norms)):
                 yield nu, samples[0]
 
-    rep.add("affine.integrability-step", algebra=name, k=k,
-            formula="(nu_h - alpha_1 [- alpha_0]|eta_i-coroot) = M_i(k) - nu(theta_i-coroot)",
-            expected=True, computed=first_failure(step_failures()))
-    return rep
+    return first_failure(step_failures())
 
 
 # one algebra of each FAMILY_TABLE row: one and two summands, and spo2-3's
@@ -216,3 +231,59 @@ def test_affine_constants_per_algebra_match_the_per_level_construction(name):
         assert check_affine_pairings(lvl).entries == per_level_affine_pairings(lvl).entries
     info = ledger._affine_constants.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def integrability_step(lvl):
+    return entry(check_affine_pairings(lvl), "affine.integrability-step").computed
+
+
+def test_integrability_step_matches_the_two_sample_form_on_the_grid():
+    """At all 74 levels of selfcheck --all, the vacuum identity checked by
+    its two coefficients in h gives the computed value of the two samples."""
+    levels = list(cli._selfcheck_levels(True))
+    assert len(levels) == 74
+    for lvl in levels:
+        want = render_value(two_sample_integrability_step(lvl))
+        assert integrability_step(lvl) == want == "true", (lvl.name, lvl.k)
+
+
+@pytest.mark.parametrize("field,shift,fails", [
+    ("rho", lambda alg: F(1, 7) * alg.theta, False),
+    ("theta", lambda alg: F(1, 3) * alg.theta_i[0], True),
+    ("xi", lambda alg: F(1, 5) * alg.natural_simple[0].weight, False),
+    ("xi", lambda alg: -2 * alg.natural_simple[-1].weight, False),
+    ("xi", lambda alg: F(3, 2) * alg.theta_i[0], False),
+], ids=["rho+theta/7", "theta+theta_1/3", "xi+alpha_nat_1/5", "xi-2alpha_nat_last",
+        "xi+3/2theta_1"])
+def test_integrability_step_matches_the_two_sample_form_on_a_mutated_algebra(
+        monkeypatch, field, shift, fails):
+    """Under each shift of the algebra data that test_classify makes, at two
+    levels of one algebra per FAMILY_TABLE row: the same computed value as
+    the two samples, failing or not."""
+    with mutated_algebras(monkeypatch, field, shift):
+        for name in MUTATION_LEVELS:
+            for k in standard_levels(AlgebraId.parse(name), 2):
+                lvl = level(name, k)
+                got = integrability_step(lvl)
+                assert got == render_value(two_sample_integrability_step(lvl)), (name, k)
+                assert (got != "true") is fails, (name, k, got)
+
+
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_a_nonzero_h_coefficient_fails_the_step_at_h_0(monkeypatch, name):
+    """E (theta_hat|eta_i) raised by 1, and nothing else: the constant term
+    of the vacuum identity still holds, so the h coefficient alone fails.
+    The two samples named h = k - 1/3 here; the step names h = 0."""
+    true_constants = classify._ambient_constants
+
+    def raised(aid):
+        c = true_constants(aid)
+        return c._replace(theta_eta=tuple(t + 1 for t in c.theta_eta))
+
+    monkeypatch.setattr(classify, "_ambient_constants", raised)
+    monkeypatch.setattr(ledger, "_ambient_constants", raised)
+    aid = AlgebraId.parse(name)
+    lvl = level(aid, standard_levels(aid, 2)[1])
+    zero = "nu=(" + ",".join("0" * lvl.alg.rank_natural) + ")"
+    assert integrability_step(lvl) == f"{zero} h=0"
+    assert two_sample_integrability_step(lvl) == f"{zero} h={render_value(lvl.k - F(1, 3))}"

@@ -47,3 +47,23 @@ def test_a_check_states_both_values():
     assert report.entries == []
     assert report.add("x", expected=Fraction(1, 2), computed=Fraction(2, 4))
     assert (report.entries[0].expected, report.entries[0].computed) == ("1/2", "1/2")
+
+
+def test_a_report_names_its_algebra_and_level_once():
+    report = Report("f4", Fraction(-8, 3))
+    report.add("x", formula="1 = 1", expected=1, computed=1)
+    report.add("y", expected=1, computed=2)
+    assert [(e.algebra, e.k) for e in report.entries] == [("f4", "-8/3")] * 2
+    assert report.entries[1].line() == "[FAIL] y (f4 k=-8/3)   expected 1, got 2"
+    gathered = Report()
+    gathered.add("z", expected=True, computed=True)
+    assert (gathered.entries[0].algebra, gathered.entries[0].k) == ("", "")
+    assert gathered.extend(report).entries[1:] == report.entries
+
+
+@pytest.mark.parametrize("where", [{"algebra": "f4"}, {"k": Fraction(-2)}])
+def test_an_entry_takes_no_algebra_or_level_of_its_own(where):
+    report = Report("spo2-3", Fraction(-1))
+    with pytest.raises(TypeError):
+        report.add("x", expected=1, computed=1, **where)
+    assert report.entries == []

@@ -188,6 +188,149 @@ def test_unknown_arguments_name_their_command(argv, usage):
     assert usage_line.startswith(usage)
 
 
+# The usage and help texts of the CLI, frozen: a change to how argv is
+# parsed must leave each (exit code, text) as it is.
+ROOT_USAGE = "usage: walg [-h] command ...\n"
+ROOT_HELP = ROOT_USAGE + """
+Command-line front end: queries as JSON/table artifacts plus the full self-
+check suite. Exit codes: 0 success, 1 any self-check failure, 2 usage or
+precondition error. All rationals are written ``p/q``; decimals are never
+parsed.
+
+positional arguments:
+  command
+"""
+if sys.version_info < (3, 13):
+    ROOT_HELP += """\
+    info      full static data of one algebra, as JSON
+    range     unitarity-range membership and the levels M_i(k)
+    modules   classification of irreducible highest-weight modules
+    unitary   three-valued unitarity verdict for one W-label
+    reduce    quantum Hamiltonian reduction of an affine label
+    reflect   doubly odd-reflected base and the eta membership check
+    selfcheck
+              catalog and ledger verification suites
+
+options:
+  -h, --help  show this help message and exit
+"""
+else:  # argparse 3.13 widens the help column to fit "selfcheck"
+    ROOT_HELP += """\
+    info       full static data of one algebra, as JSON
+    range      unitarity-range membership and the levels M_i(k)
+    modules    classification of irreducible highest-weight modules
+    unitary    three-valued unitarity verdict for one W-label
+    reduce     quantum Hamiltonian reduction of an affine label
+    reflect    doubly odd-reflected base and the eta membership check
+    selfcheck  catalog and ledger verification suites
+
+options:
+  -h, --help   show this help message and exit
+"""
+RANGE_USAGE = "usage: walg range [-h] --k K algebra\n"
+UNITARY_USAGE = "usage: walg unitary [-h] --k K --nu NU --ell0 ELL0 algebra\n"
+INVALID_CHOICE = ("walg: error: argument command: invalid choice: {!r} (choose from 'info', "
+                  "'range', 'modules', 'unitary', 'reduce', 'reflect', 'selfcheck')\n")
+RANGE_PSL2 = '{\n  "algebra": "psl2-2",\n  "k": "-2",\n  "in_range": true,\n  "M": [\n    "1"\n  ]\n}\n'
+RANGE_SPO2 = '{\n  "algebra": "spo2-3",\n  "k": "-3/4",\n  "in_range": true,\n  "M": [\n    "1"\n  ]\n}\n'
+UNITARY_PSL2 = ('{{\n  "algebra": "psl2-2",\n  "k": "-2",\n  "nu": [\n    0\n  ],\n'
+                '  "ell0": "{}",\n  "extremal": false,\n  "A": "0",\n  "verdict": "{}"\n}}\n')
+MODULES_PSL2 = ["modules", "psl2-2", "--k", "-2"]
+UNITARY_NU0 = ["unitary", "psl2-2", "--k", "-2", "--nu", "0"]
+
+USAGE_TABLE = {
+    "no-arguments": ([], (2, ROOT_USAGE)),
+    "root-h": (["-h"], (0, ROOT_HELP)),
+    "root-help": (["--help"], (0, ROOT_HELP)),
+    "unknown-command": (["bogus"], (2, INVALID_CHOICE.format("bogus") + ROOT_USAGE)),
+    "bogus-before-command": (["--bogus", "modules", "spo2-3", "--k", "-1"],
+                             (2, "walg: error: unrecognized arguments: --bogus\n" + ROOT_USAGE)),
+    "h-before-command": (["-h", "unitary"], (0, ROOT_HELP)),
+    "h-after-command": (["unitary", "-h"], (0, UNITARY_USAGE + """
+positional arguments:
+  algebra
+
+options:
+  -h, --help   show this help message and exit
+  --k K
+  --nu NU      comma-separated nonnegative integers over the fundamental
+               weights
+  --ell0 ELL0
+""")),
+    "missing-positional": (["unitary", "--k", "-1", "--nu", "0", "--ell0", "0"], (
+        2, "walg unitary: error: the following arguments are required: algebra\n"
+        + UNITARY_USAGE)),
+    "missing-required-flag": (["range", "spo2-3"], (
+        2, "walg range: error: the following arguments are required: --k\n" + RANGE_USAGE)),
+    "flag-without-value": (["range", "spo2-3", "--k"], (
+        2, "walg range: error: argument --k: expected one argument\n" + RANGE_USAGE)),
+    "mutually-exclusive": (["modules", "spo2-3", "--k", "-1", "--affine", "--w"], (
+        2, "walg modules: error: argument --w: not allowed with argument --affine\n"
+        "usage: walg modules [-h] --k K [--affine | --w] [--json] [--ledger] algebra\n")),
+    "repeated-k": (["range", "spo2-3", "--k", "-1", "--k", "-3/4"], (0, RANGE_SPO2)),
+    "option-before-positional": (["range", "--k", "-3/4", "spo2-3"], (0, RANGE_SPO2)),
+    "dashdash-before-command": (["--", "range", "psl2-2", "--k", "-2"],
+                                (2, INVALID_CHOICE.format("--") + ROOT_USAGE)),
+    "dashdash-after-command": (["range", "--k", "-2", "--", "psl2-2"], (0, RANGE_PSL2)),
+    "k-equals-negative": (["range", "psl2-2", "--k=-2"], (0, RANGE_PSL2)),
+    "k-zero-denominator": (["range", "psl2-2", "--k", "1/0"], (
+        2, "walg: error: zero denominator in the rational '1/0'\n")),
+    "single-dash-k": (["range", "psl2-2", "-k", "-2"], (
+        2, "walg range: error: the following arguments are required: --k\n" + RANGE_USAGE)),
+    "extra-positional": (["info", "psl2-2", "f4"], (
+        2, "walg info: error: unrecognized arguments: f4\nusage: walg info [-h] algebra\n")),
+    "ell0-negative": (UNITARY_NU0 + ["--ell0", "-1/2"],
+                      (0, UNITARY_PSL2.format("-1/2", "not_unitary:1c"))),
+    # abbreviated flags
+    "abbrev-el": (UNITARY_NU0 + ["--el", "1/2"], (0, UNITARY_PSL2.format("1/2", "unitary"))),
+    "abbrev-el-negative": (UNITARY_NU0 + ["--el", "-1/2"], (
+        2, "walg unitary: error: argument --ell0: expected one argument\n" + UNITARY_USAGE)),
+    "abbrev-al": (["selfcheck", "--al", "--bogus"], (
+        2, "walg selfcheck: error: unrecognized arguments: --bogus\n"
+        "usage: walg selfcheck [-h] [--all] [--json]\n")),
+    "abbrev-a": (MODULES_PSL2 + ["--a"], (0, "psl2-2  k=-2  M=1\n  nu=(0)  h=free  [generic]\n"
+                                             "  nu=(1)  h=-1/2  [extremal]\n")),
+    "abbrev-j": (MODULES_PSL2 + ["--j"], (0, """\
+{
+  "tool": "walg",
+  "version": "0.1.0",
+  "algebra": "psl2-2",
+  "k": "-2",
+  "M": [
+    "1"
+  ],
+  "kind": "w",
+  "positive_energy_complete": true,
+  "modules": [
+    {
+      "nu_coeffs": [
+        0
+      ],
+      "ell0": "free",
+      "extremal": false,
+      "A": "0",
+      "unitarity": "unitary"
+    },
+    {
+      "nu_coeffs": [
+        1
+      ],
+      "ell0": "1/2",
+      "extremal": true,
+      "A": "1/2",
+      "unitarity": "unitary"
+    }
+  ]
+}
+""")),
+}
+
+
+@pytest.mark.parametrize("argv,expected", USAGE_TABLE.values(), ids=USAGE_TABLE.keys())
+def test_usage_texts_are_frozen(argv, expected):
+    assert run_command(argv) == expected
+
+
 def test_unitary_reads_extremality_once(monkeypatch):
     """walg unitary takes the payload's extremal from one is_extremal call
     (None outside the truncated cone), so the comark values are put against

@@ -402,6 +402,7 @@ class AlgebraData:
     rho_nat: Weight
     h_check: Fraction
     chi: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...]  # 2/(theta_i|theta_i): M_i(k) = slope_i k + chi_i
     gamma1: tuple[Weight, ...]
     gamma2: tuple[Weight, ...]
     natural_simple: tuple[Root, ...]
@@ -510,6 +511,7 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
     xi = proj_coeff * theta - alpha1
 
     chi = tuple(-coroot_pair(xi, t) for t in theta_i)
+    slopes = tuple(2 / pair(t, t) for t in theta_i)
     h_check = 1 + pair(rho, theta)
     natural_simple = tuple(r for r in simple
                            if not r.is_odd and pair(r.weight, theta) == 0)
@@ -528,6 +530,7 @@ def build_algebra(aid: AlgebraId) -> AlgebraData:
         rho_nat=rho_nat,
         h_check=h_check,
         chi=chi,
+        slopes=slopes,
         gamma1=gamma1,
         gamma2=gamma2,
         natural_simple=natural_simple,

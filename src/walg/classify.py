@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, lcm
+from math import lcm
 from operator import add, gt, le, mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -87,48 +87,52 @@ class RangeError(ValueError):
 class Level:
     """One level k of one algebra.
 
-    The range membership, the levels M_i(k) and the truncated cone are
-    computed on first use and kept on the instance, so they live exactly as
-    long as it does.
+    Construction sets the facts of k = p/q on integers, as plain attributes:
+    in_range, and per summand the (numerator, denominator > 0) of M_i(k)
+    (_M_ratios) and of M_i(k) + chi_i (_margin_ratios), and the floors of
+    both (_floors).  The truncated cone and the k constants of A and ell0
+    are computed on first use and kept on the instance.
     """
 
     alg: AlgebraData
     k: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "k", rational(self.k))
-        if self.k == -self.alg.h_check:
+        k = rational(self.k)
+        if k == -self.alg.h_check:
             raise CriticalLevelError(
-                f"critical level k = {rational_str(self.k)} for {self.alg.id.name}")
+                f"critical level k = {rational_str(k)} for {self.alg.id.name}")
+        aid = self.alg.id
+        step, n0 = aid.spec.progression(aid.m, aid.n)
+        (p, q), (a, b) = k.as_integer_ratio(), step.as_integer_ratio()
+        M, margins = [], []
+        for slope, chi in zip(self.alg.slopes, self.alg.chi):
+            # M_i(k) = slope_i k + chi_i = (s e p + c t q) / (t e q) for
+            # slope_i = s/t and chi_i = c/e, and M_i(k) + chi_i adds c t q
+            (s, t), (c, e) = slope.as_integer_ratio(), chi.as_integer_ratio()
+            n, ctq = s * e * p, c * t * q
+            M.append((n + ctq, t * e * q))
+            margins.append((n + 2 * ctq, t * e * q))
+        # in range: -k = step n for an integer n >= n0, so with step = a/b,
+        # q a divides -p b and -p b >= n0 q a.  An integer exceeds a
+        # rational exactly when it exceeds the rational's floor.
+        vars(self).update(
+            k=k, in_range=-p * b % (q * a) == 0 and -p * b >= n0 * q * a,
+            _M_ratios=tuple(M), _margin_ratios=tuple(margins),
+            _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)))
 
     @property
     def name(self) -> str:
         return self.alg.id.name
 
-    @cached_property
-    def in_range(self) -> bool:
-        """-k lies in the family's admissible progression: -k = step * q
-        for an integer q >= q0."""
-        aid = self.alg.id
-        step, q0 = aid.spec.progression(aid.m, aid.n)
-        q = -self.k / step
-        return q.denominator == 1 and q >= q0
-
-    @cached_property
+    @property
     def M(self) -> tuple[Fraction, ...]:
         """Affine levels M_i(k) = 2k/(theta_i|theta_i) + chi_i."""
-        norms = _basis(self.alg.id).norms
-        return tuple(2 * self.k / n + c for n, c in zip(norms, self.alg.chi))
+        return tuple(Fraction(n, d) for n, d in self._M_ratios)
 
-    @cached_property
+    @property
     def _margins(self) -> tuple[Fraction, ...]:  # M_i(k) + chi_i
-        return tuple(m + c for m, c in zip(self.M, self.alg.chi))
-
-    @cached_property
-    def _floors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # floor(M_i) and floor(M_i + chi_i): an integer exceeds a rational
-        # exactly when it exceeds the rational's floor
-        return tuple(map(floor, self.M)), tuple(map(floor, self._margins))
+        return tuple(Fraction(n, d) for n, d in self._margin_ratios)
 
     @cached_property
     def _A_consts(self) -> tuple[int, int, int, int]:
@@ -179,7 +183,7 @@ class Level:
         gram = basis.gram
         cols = tuple(zip(*basis.comarks))  # cols[a][i] = C[i][a]
         last = len(cols) - 1
-        top = tuple(int(m) for m in self.M)
+        top = self._floors[0]
         out = []
 
         def walk(prefix, budgets, g, Q, X):
@@ -331,7 +335,6 @@ class _Basis(NamedTuple):
     """
 
     comarks: tuple[tuple[int, ...], ...]  # C[i][a] = omega_a(theta_i-coroot) >= 0
-    norms: tuple[Fraction, ...]           # (theta_i|theta_i)
     D: int
     gram: tuple[tuple[int, ...], ...]
     two_rho: tuple[int, ...]
@@ -354,7 +357,6 @@ def _basis(aid: AlgebraId) -> _Basis:
     D = lcm(*(v.denominator for v in [*two_rho, *xi, *(g for row in gram for g in row)]))
     return _Basis(
         comarks=tuple(comarks),
-        norms=tuple(pair(t, t) for t in alg.theta_i),
         D=D,
         gram=tuple(tuple(int(D * g) for g in row) for row in gram),
         two_rho=tuple(int(D * v) for v in two_rho),
@@ -422,7 +424,7 @@ def count_Pk(lvl: Level) -> int:
             memo[a, budgets] = total
         return total
 
-    return fits(0, tuple(int(m) for m in lvl.M))
+    return fits(0, lvl._floors[0])
 
 
 def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
@@ -692,7 +694,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
     _require_range(lvl)
-    if not all(m.denominator == 1 and m >= 0 for m in lvl.M):
+    if not all(n >= 0 and n % d == 0 for n, d in lvl._M_ratios):
         return not_unitary("1a")
     extremal = _extremal(lvl, label.nu)
     if extremal is None:
@@ -703,8 +705,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        margins_integral = all(m.denominator == 1 and m >= 0 for m in lvl._margins)
-        return UNITARY if margins_integral else OPEN
+        margins_natural = all(n >= 0 and n % d == 0 for n, d in lvl._margin_ratios)
+        return UNITARY if margins_natural else OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 
@@ -903,7 +905,7 @@ def cross_identity_report(lvl: Level) -> Report:
 
     # on integers: M_i + chi_i - v is an integer iff M_i + chi_i is one,
     # and then nonnegative iff v <= floor(M_i + chi_i)
-    margins_integral = all(m.denominator == 1 for m in lvl._margins)
+    margins_integral = all(n % d == 0 for n, d in lvl._margin_ratios)
     rep.add("classify.margin-nonneg",
             formula="M_i(k) + chi_i - nu(theta_i-coroot) is a nonnegative integer off the extremal set",
             expected=True,
@@ -918,7 +920,7 @@ def cross_identity_report(lvl: Level) -> Report:
 
     # a free one-parameter family exists whenever no margin M_i + chi_i is
     # negative (the boundary levels where one is are the collapsing ones)
-    if all(m >= 0 for m in lvl._margins):
+    if all(n >= 0 for n, _ in lvl._margin_ratios):
         rep.add("classify.free-family", formula="some non-extremal nu carries a free ell0 family",
                 expected=True,
                 computed=not all(extremal))

@@ -71,17 +71,23 @@ def _join_rational_values(argv: list[str]) -> list[str]:
 def _build_parser() -> _Parser:
     """The parser tree, built on the first call and shared by every later
     one; argparse keeps no state of its own between parses."""
-    parser = _Parser(prog="walg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    # each subcommand's parser carries its handler, and every flag is read
+    # by its full name only
+    parser = _Parser(prog="walg", description=__doc__, allow_abbrev=False)
+    sub = parser.add_subparsers(metavar="command",
+                                parser_class=functools.partial(_Parser, allow_abbrev=False))
 
     p = sub.add_parser("info", help="full static data of one algebra, as JSON")
+    p.set_defaults(handler=_cmd_info)
     p.add_argument("algebra")
 
     p = sub.add_parser("range", help="unitarity-range membership and the levels M_i(k)")
+    p.set_defaults(handler=_cmd_range)
     p.add_argument("algebra")
     p.add_argument("--k", required=True)
 
     p = sub.add_parser("modules", help="classification of irreducible highest-weight modules")
+    p.set_defaults(handler=_cmd_modules)
     p.add_argument("algebra")
     p.add_argument("--k", required=True)
     group = p.add_mutually_exclusive_group()
@@ -94,6 +100,7 @@ def _build_parser() -> _Parser:
                    help="the level's ledger (JSON section or text summary); exit 1 on failure")
 
     p = sub.add_parser("unitary", help="three-valued unitarity verdict for one W-label")
+    p.set_defaults(handler=_cmd_unitary)
     p.add_argument("algebra")
     p.add_argument("--k", required=True)
     p.add_argument("--nu", required=True,
@@ -101,19 +108,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell0", required=True)
 
     p = sub.add_parser("reduce", help="quantum Hamiltonian reduction of an affine label")
+    p.set_defaults(handler=_cmd_reduce)
     p.add_argument("algebra")
     p.add_argument("--k", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--h", required=True)
 
     p = sub.add_parser("reflect", help="doubly odd-reflected base and the eta membership check")
+    p.set_defaults(handler=_cmd_reflect)
     p.add_argument("algebra")
 
     p = sub.add_parser("selfcheck", help="catalog and ledger verification suites")
+    p.set_defaults(handler=_cmd_selfcheck)
     p.add_argument("--all", action="store_true",
                    help="include the level-dependent ledger and cross-identity grids")
     p.add_argument("--json", action="store_true")
 
+    parser.set_defaults(handler=None)  # no subcommand given
     parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
@@ -370,17 +381,6 @@ def _failures_and_summary(name: str, report: Report) -> list[str]:
     return [e.line() for e in failures] + [f"{name}: {len(report.entries)} checks, {status}"]
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "range": _cmd_range,
-    "modules": _cmd_modules,
-    "unitary": _cmd_unitary,
-    "reduce": _cmd_reduce,
-    "reflect": _cmd_reflect,
-    "selfcheck": _cmd_selfcheck,
-}
-
-
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit_code, stdout_text).
 
@@ -389,16 +389,14 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     parser = _build_parser()
     try:
         argv = _join_rational_values(list(argv))
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # argparse hands a subcommand's unknown arguments back to the
-            # root parser; the subcommand reports them, with its own usage,
-            # unless something precedes it (the root has no option but -h)
-            owner = parser.commands[args.command] if argv[:1] == [args.command] else parser
-            owner.error(f"unrecognized arguments: {' '.join(extra)}")
-        if args.command is None:
+        # an argv that starts with a subcommand is parsed by that
+        # subcommand's parser alone, which reports a usage error with its
+        # own usage; any other argv goes through the root parser
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        if args.handler is None:
             raise _UsageError(parser.format_usage())
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _HelpRequested as exc:
         return 0, str(exc)
     except _UsageError as exc:

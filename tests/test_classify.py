@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction as F
 from itertools import product
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -893,24 +894,30 @@ def fraction_margin_site(lvl, extremal):
                                      for v, m in zip(theta_values(lvl, nu), lvl._margins)))
 
 
-def assert_level_matches_fraction_forms(lvl):
-    """Each weight of the cone: the level's ell0 constants against the
-    per-call derivation, the integer chi bound against the Fraction one; and
-    margin-nonneg against its Fraction form, as reported and with every
+def assert_margin_site_matches_fraction_form(lvl):
+    """margin-nonneg against its Fraction form, as reported and with every
     weight counted as non-extremal, so that failing weights are compared
-    too.  Returns the chi-bound answers seen."""
-    answers = set()
-    for nu in enumerate_Pk(lvl):
-        assert classify._ell0_coeffs(lvl, nu) == per_call_ell0_coeffs(lvl, nu), nu.coeffs
-        answer = classify._nu_plus_xi_in_Pk(lvl, nu)
-        assert answer is fraction_chi_bound_nu_plus_xi_in_Pk(lvl, nu), (lvl.name, lvl.k, nu.coeffs)
-        answers.add(answer)
+    too."""
     for extremal in (is_extremal, lambda lvl, nu: False):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "is_extremal", extremal)
             by_id = {e.check_id: e for e in cross_identity_report(lvl).entries}
         want = fraction_margin_site(lvl, extremal)
         assert by_id["classify.margin-nonneg"].computed == render_value(want), (lvl.name, lvl.k)
+
+
+def assert_level_matches_fraction_forms(lvl):
+    """Each weight of the cone: the level's ell0 constants against the
+    per-call derivation, the integer chi bound against the Fraction one; and
+    margin-nonneg against its Fraction form.  Returns the chi-bound answers
+    seen."""
+    answers = set()
+    for nu in enumerate_Pk(lvl):
+        assert classify._ell0_coeffs(lvl, nu) == per_call_ell0_coeffs(lvl, nu), nu.coeffs
+        answer = classify._nu_plus_xi_in_Pk(lvl, nu)
+        assert answer is fraction_chi_bound_nu_plus_xi_in_Pk(lvl, nu), (lvl.name, lvl.k, nu.coeffs)
+        answers.add(answer)
+    assert_margin_site_matches_fraction_form(lvl)
     return answers
 
 
@@ -935,6 +942,80 @@ def test_level_constants_and_integer_bounds_match_fraction_forms_on_the_grid():
 def test_level_constants_and_integer_bounds_match_fraction_forms_drawn(drawn):
     name, k = drawn
     assert_level_matches_fraction_forms(level(name, k))
+
+
+# --- a level's integer facts against the Fraction forms they replaced -------
+
+# every FAMILY_TABLE row: spo2-m up to m = 20, and d21 pairs beyond CONE_PAIRS
+LEVEL_ALGEBRAS = ("psl2-2", "spo2-3", *(f"spo2-{m}" for m in range(5, 21)),
+                  *(f"d21-{m}-{n}" for m in range(1, 10) for n in range(1, 10) if gcd(m, n) == 1),
+                  "f4", "g3")
+
+
+def fraction_level_facts(lvl):
+    """in_range, M, the margins and both rows of floors as Level computed
+    them before it kept them on integers: -k/step, 2k/(theta_i|theta_i) +
+    chi_i and floor, verbatim."""
+    alg, k = lvl.alg, lvl.k
+    step, q0 = alg.id.spec.progression(alg.id.m, alg.id.n)
+    q = -k / step
+    M = tuple(2 * k / pair(t, t) + c for t, c in zip(alg.theta_i, alg.chi))
+    margins = tuple(m + c for m, c in zip(M, alg.chi))
+    return (q.denominator == 1 and q >= q0, M, margins,
+            (tuple(map(floor, M)), tuple(map(floor, margins))))
+
+
+def fraction_verdict(lvl, nu, ell0_value):
+    """unitarity_verdict with its Fraction tests of the levels (1a and the
+    margins), read off fraction_level_facts, for any level."""
+    _, M, margins, _ = fraction_level_facts(lvl)
+    if not all(m.denominator == 1 and m >= 0 for m in M):
+        return "not_unitary:1a"
+    extremal = fraction_extremal(lvl, nu)
+    if extremal is None:
+        return "not_unitary:1b"
+    threshold = A_value(lvl, nu)
+    if ell0_value < threshold or (extremal and ell0_value != threshold):
+        return "not_unitary:1c"
+    if nu.is_zero and ell0_value == 0:
+        return "unitary"
+    if not extremal:
+        return "unitary" if all(m.denominator == 1 and m >= 0 for m in margins) else "open"
+    return "unitary" if lvl.alg.id.spec.proven_at_threshold(lvl.k) else "open"
+
+
+@st.composite
+def any_levels(draw):
+    """A level of LEVEL_ALGEBRAS, never critical: -k = step n for an integer
+    n from -3 to q0 + 5 (on the range from q0 on), or any p/q of either
+    sign."""
+    aid = AlgebraId.parse(draw(st.sampled_from(LEVEL_ALGEBRAS)))
+    step, q0 = aid.spec.progression(aid.m, aid.n)
+    k = draw(st.one_of(st.integers(-3, q0 + 5).map(lambda n: -step * n),
+                       st.builds(F, st.integers(-60, 60), st.integers(1, 12))))
+    assume(k != -catalog.build_algebra(aid).h_check)
+    return level(aid, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_levels())
+def test_integer_level_facts_match_fraction_forms(lvl):
+    in_range, M, margins, floors = fraction_level_facts(lvl)
+    assert (lvl.in_range, lvl.M, lvl._margins, lvl._floors) == (in_range, M, margins, floors)
+    assert in_unitarity_range(lvl) is in_range and level_M(lvl) == M
+    # conditions 1a and the margins of unitarity_verdict, on and off the range
+    rank = lvl.alg.rank_natural
+    weights = [(0,) * rank, (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,), (9,) * rank]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_require_range", lambda lvl: None)
+        for coeffs in weights:
+            nu = DominantWeight(lvl.alg.id, coeffs)
+            threshold = A_value(lvl, nu)
+            for ell0_value in (threshold, threshold + F(1, 3)):
+                got = str(unitarity_verdict(lvl, WModuleLabel(nu, ell0_value)))
+                assert got == fraction_verdict(lvl, nu, ell0_value), (lvl.name, lvl.k, coeffs)
+    if in_range and count_Pk(lvl) <= 200:
+        assert_margin_site_matches_fraction_form(lvl)
 
 
 # The grid of `selfcheck --all` under three mutations of the algebra data,

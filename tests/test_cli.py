@@ -304,6 +304,69 @@ def test_usage_texts_are_frozen(argv, expected):
     assert run_command(argv) == expected
 
 
+def test_an_abbreviated_flag_is_refused_whatever_the_sign_of_its_value():
+    """--k, --h and --ell0 values are folded in by their full names, so an
+    abbreviation read one sign of value and refused the other; now both."""
+    assert run_command(UNITARY_NU0 + ["--el", "1/2"]) == run_command(UNITARY_NU0 + ["--el", "-1/2"])
+    assert run_command(UNITARY_NU0 + ["--el", "-1/2"])[0] == 2
+    assert run_command(UNITARY_NU0 + ["--ell0", "-1/2"])[0] == 0
+
+
+POINT_QUERIES = {
+    "unitary": ["unitary", "spo2-3", "--k", "-1", "--nu", "1", "--ell0", "1/4"],
+    "reduce": ["reduce", "spo2-3", "--k", "-1", "--nu", "1", "--h", "-1/4"],
+    "range": ["range", "spo2-3", "--k", "-3/4"],
+}
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    *((argv, [f"walg {name}"]) for name, argv in POINT_QUERIES.items()),
+    (["--bogus", *POINT_QUERIES["range"]], ["walg", "walg range"]),
+    (["--", *POINT_QUERIES["range"]], ["walg"]),
+    (["-h", "range"], ["walg"]),
+    ([], ["walg"]),
+], ids=[*POINT_QUERIES, "option-first", "dashdash-first", "help-first", "empty"])
+def test_a_call_is_parsed_once(monkeypatch, argv, parsers):
+    """A call that starts with a subcommand is parsed once, by that
+    subcommand's parser alone; any other argv starts at the root parser,
+    which hands what follows a subcommand name to that subcommand's."""
+    parses = []
+    true_parse = cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return true_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    run_command(argv)
+    assert parses == parsers
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("unitary", {"unitarity_verdict": 1, "is_extremal": 1, "A_value": 2}),
+    ("reduce", {"hamiltonian_reduce": 1, "in_truncated_cone": 1, "ell0": 1}),
+    ("range", {}),
+])
+def test_point_queries_reach_the_public_predicates(monkeypatch, name, expected):
+    """Each point query calls the classify predicates it answers with
+    through the names the benchmark tracer wraps, in every walg namespace
+    that binds them, as often as before its parse was cut to one."""
+    calls = {}
+    for fn in ("unitarity_verdict", "is_extremal", "A_value", "ell0",
+               "hamiltonian_reduce", "in_truncated_cone"):
+        true_fn = getattr(classify, fn)
+
+        def counted(*args, _fn=fn, _true=true_fn):
+            calls[_fn] = calls.get(_fn, 0) + 1
+            return _true(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "walg" and vars(module).get(fn) is true_fn:
+                monkeypatch.setattr(module, fn, counted)
+    code, _ = run_command(POINT_QUERIES[name])
+    assert code == 0 and calls == expected
+
+
 def test_unitary_reads_extremality_once(monkeypatch):
     """walg unitary takes the payload's extremal from one is_extremal call
     (None outside the truncated cone), so the comark values are put against

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -423,21 +423,32 @@ class AlgebraData:
         return self.simple_roots[0].weight
 
 
+# per row i of the Gram matrix, (j, numerator, denominator) of each nonzero G_ij
 @lru_cache(maxsize=None)
-def _gram_sparse(aid: AlgebraId) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v != 0)
+def _gram_sparse(aid: AlgebraId) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    return tuple(tuple((j, *v.as_integer_ratio()) for j, v in enumerate(row) if v != 0)
                  for row in aid.spec.gram(aid.m, aid.n))
 
 
+# pair and _weight_sum add integer terms n/d over one running denominator,
+# which only grows (to its lcm with d) when d does not divide it, and make
+# one Fraction per result
 def _weight_sum(aid: AlgebraId, terms) -> Weight:
     """sum c w over (coefficient, weight) pairs, as one Weight of aid."""
-    coords = [Fraction(0)] * aid.dim
+    nums = [0] * aid.dim
+    dens = [1] * aid.dim
     for c, w in terms:
-        if c:
+        cn, cd = c.as_integer_ratio()
+        if cn:
             for j, v in enumerate(w.coords):
-                if v:
-                    coords[j] += c * v
-    return Weight(aid, tuple(coords))
+                vn, vd = v.as_integer_ratio()
+                if vn:
+                    d, den = cd * vd, dens[j]
+                    if den % d:
+                        nums[j] *= d // gcd(den, d)
+                        dens[j] = den = lcm(den, d)
+                    nums[j] += cn * vn * (den // d)
+    return Weight(aid, tuple(map(Fraction, nums, dens)))
 
 
 def pair(a: Weight, b: Weight) -> Fraction:
@@ -446,15 +457,18 @@ def pair(a: Weight, b: Weight) -> Fraction:
         raise AlgebraMismatchError(f"cannot pair {a.algebra} with {b.algebra}")
     sparse = _gram_sparse(a.algebra)
     bc = b.coords
-    total = Fraction(0)
+    num, den = 0, 1
     for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        for j, g in sparse[i]:
-            bj = bc[j]
-            if bj != 0:
-                total += ai * g * bj
-    return total
+        an, ad = ai.as_integer_ratio()
+        if an:
+            for j, gn, gd in sparse[i]:
+                bn, bd = bc[j].as_integer_ratio()
+                if bn:
+                    d = ad * gd * bd
+                    if den % d:
+                        num, den = num * (d // gcd(den, d)), lcm(den, d)
+                    num += an * gn * bn * (den // d)
+    return Fraction(num, den)
 
 
 def coroot_pair(w: Weight, alpha) -> Fraction:
@@ -470,15 +484,16 @@ def _solve_fundamental(natural_simple: tuple[Root, ...]) -> tuple[Weight, ...]:
     """Dual basis to the g-natural simple coroots, inside their span.
 
     Solves omega_a(alpha_b-coroot) = delta_ab with omega_a expanded over the
-    natural simple roots; the coefficient matrix is the (exact) Cartan matrix
-    of g-natural and is always nonsingular for the catalog.
+    natural simple roots, in one elimination over [C | I]: C is the (exact)
+    Cartan matrix of g-natural and is always nonsingular for the catalog.
     """
     roots = [r.weight for r in natural_simple]
     n = len(roots)
-    cartan = tuple(tuple(coroot_pair(roots[b], roots[c]) for b in range(n))
+    norms = [pair(r, r) for r in roots]
+    cartan = tuple(tuple(2 * pair(roots[b], roots[c]) / norms[c] for b in range(n))
                    for c in range(n))
     # row a holds the coefficients of omega_a over the natural simple roots
-    rows = (solve_linear(cartan, vector(int(b == a) for b in range(n))) for a in range(n))
+    rows = solve_linear(cartan, [[int(b == a) for b in range(n)] for a in range(n)])
     return tuple(_weight_sum(roots[0].algebra, zip(row, roots)) for row in rows)
 
 
@@ -548,8 +563,9 @@ def expected_chi(aid: AlgebraId) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in aid.spec.chi)
 
 
-def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
-    """Is w a nonnegative-integer combination of the g-natural simple roots?
+def _in_natural_cone(alg: AlgebraData, weights) -> bool:
+    """Is every w of weights a nonnegative-integer combination of the
+    g-natural simple roots?
 
     Since omega_a(alpha_b-coroot) = delta_ab, the coefficient of alpha_a in
     w = sum_b c_b alpha_b is c_a = 2 (w|omega_a) / (alpha_a|alpha_a).  The
@@ -557,11 +573,13 @@ def _in_natural_cone(alg: AlgebraData, w: Weight) -> bool:
     expansion with these coefficients reproduces w.
     """
     roots = [r.weight for r in alg.natural_simple]
-    coeffs = [2 * pair(w, omega) / pair(r, r)
-              for omega, r in zip(alg.natural_fundamental, roots)]
-    if _weight_sum(alg.id, zip(coeffs, roots)) != w:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
+    norms = [pair(r, r) for r in roots]
+    for w in weights:
+        coeffs = [2 * pair(w, o) / norm for o, norm in zip(alg.natural_fundamental, norms)]
+        if (_weight_sum(alg.id, zip(coeffs, roots)) != w
+                or not all(c.denominator == 1 and c >= 0 for c in coeffs)):
+            return False
+    return True
 
 
 def selfcheck_algebra(alg: AlgebraData) -> Report:
@@ -604,10 +622,10 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
             formula="positive roots: no duplicates, no alpha with -alpha, simples included",
             expected=True, computed=no_dups and no_neg and simple_listed)
 
+    theta_pairs = [pair(r.weight, alg.theta) for r in alg.positive_roots]
     grading_ok = True
     theta_count = 0
-    for r in alg.positive_roots:
-        g = pair(r.weight, alg.theta)
+    for r, g in zip(alg.positive_roots, theta_pairs):
         if r.is_odd:
             grading_ok = grading_ok and g == 1
         else:
@@ -619,12 +637,11 @@ def selfcheck_algebra(alg: AlgebraData) -> Report:
             formula="odd positives sit in x-degree 1/2, even in degree 0 or 1 (theta only)",
             expected=True, computed=grading_ok and theta_count == 1)
 
-    natural_pos = [r.weight for r in alg.positive_roots
-                   if not r.is_odd and pair(r.weight, alg.theta) == 0]
+    natural_pos = [r.weight for r, g in zip(alg.positive_roots, theta_pairs)
+                   if not r.is_odd and g == 0]
     rep.add("catalog.natural-span",
             formula="every positive g-natural root is a Z+-combination of the natural simples",
-            expected=True,
-            computed=all(_in_natural_cone(alg, w) for w in natural_pos))
+            expected=True, computed=_in_natural_cone(alg, natural_pos))
 
     highest = True
     for t in alg.theta_i:

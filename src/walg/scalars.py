@@ -79,9 +79,12 @@ def vector(entries: Iterable[RationalLike]) -> Vector:
     return tuple(rational(x) for x in entries)
 
 
-def solve_linear(a: Matrix, b: Vector) -> Vector:
-    """Solve ``A x = b`` exactly by Gaussian elimination.
+def solve_linear(a: Matrix, b):
+    """Solve ``A x = b`` exactly by Gauss-Jordan elimination.
 
+    b is one right-hand side (a Vector), answered by one solution Vector, or
+    a sequence of right-hand sides, answered by a tuple of solutions in
+    their order; all of them are reduced in one pass over ``[A | b...]``.
     Pivoting takes the first nonzero entry in each column; there is no
     tolerance anywhere, a pivot is either zero or usable.  A must be square
     and nonsingular: a singular A raises :class:`SingularMatrixError`
@@ -90,9 +93,12 @@ def solve_linear(a: Matrix, b: Vector) -> Vector:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionError("solve_linear needs a square matrix")
-    if len(b) != n:
+    several = bool(b) and isinstance(b[0], (tuple, list))
+    sides = b if several else (b,)
+    if any(len(side) != n for side in sides):
         raise DimensionError("right-hand side length does not match the matrix")
-    aug = [[rational(v) for v in row] + [rational(bv)] for row, bv in zip(a, b)]
+    aug = [[rational(v) for v in row] + [rational(side[i]) for side in sides]
+           for i, row in enumerate(a)]
     rank = 0
     for col in range(n):
         pivot = next((r for r in range(rank, n) if aug[r][col] != 0), None)
@@ -104,8 +110,9 @@ def solve_linear(a: Matrix, b: Vector) -> Vector:
         for r in range(n):
             if r != rank and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
+                aug[r] = [v - f * w if w else v for v, w in zip(aug[r], aug[rank])]
         rank += 1
     if rank < n:
         raise SingularMatrixError(rank)
-    return tuple(row[n] for row in aug)
+    solutions = tuple(tuple(row[n + j] for row in aug) for j in range(len(sides)))
+    return solutions if several else solutions[0]

@@ -344,7 +344,7 @@ def test_natural_span_matches_the_gram_solve():
         a = alg(name)
         for w in natural_span_candidates(a):
             expected = _in_natural_cone_by_gram(a, w)
-            assert _in_natural_cone(a, w) is expected, (name, w)
+            assert _in_natural_cone(a, [w]) is expected, (name, w)
             tried += 1
             inside += expected
     assert tried == 738

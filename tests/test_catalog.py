@@ -7,12 +7,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import walg
 from walg.affine import eta_membership_check
-from walg.catalog import (AlgebraData, AlgebraId, AlgebraMismatchError,
+from walg.catalog import (FAMILY_TABLE, AlgebraData, AlgebraId, AlgebraMismatchError,
                           InvalidAlgebraError, IsotropyError, Root, Weight,
-                          _in_natural_cone, build_algebra, coroot_pair,
+                          _in_natural_cone, _weight_sum, build_algebra, coroot_pair,
                           expected_chi, expected_h_check, pair,
                           selfcheck_algebra)
 from walg.scalars import solve_linear, vector
@@ -159,6 +160,60 @@ def test_pair_symmetric_bilinear(name):
     assert pair(F(3, 2) * u, v) == F(3, 2) * pair(u, v)
 
 
+# --- pair, coroot_pair and _weight_sum against plain Fraction sums ----------
+
+# zero, negative and fractional coordinates, denominators up to 12
+coordinates = st.one_of(st.just(F(0)),
+                        st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+def draw_algebra(data, row) -> AlgebraId:
+    """An instance of a FAMILY_TABLE row, its parameters drawn."""
+    if row.params == 0 or row.m is not None:
+        return AlgebraId(row.family, row.m or 0)
+    if row.params == 1:
+        return AlgebraId(row.family, data.draw(st.integers(5, 20)))
+    m, n = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9))
+                     .filter(lambda mn: gcd(*mn) == 1))
+    return AlgebraId(row.family, m, n)
+
+
+def gram_product(a: Weight, b: Weight) -> F:
+    """sum a_i G_ij b_j over the full Gram matrix of the table row."""
+    aid = a.algebra
+    gram = aid.spec.gram(aid.m, aid.n)
+    return sum((x * g * y for x, row in zip(a.coords, gram) for g, y in zip(row, b.coords)),
+               F(0))
+
+
+@pytest.mark.parametrize("row", FAMILY_TABLE, ids=lambda row: row.name)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integer_pairings_match_plain_fractions(row, data):
+    aid = draw_algebra(data, row)
+    weights = st.lists(coordinates, min_size=aid.dim, max_size=aid.dim).map(
+        lambda coords: Weight(aid, coords))
+    a, b = data.draw(weights), data.draw(weights)
+    assert pair(a, b) == gram_product(a, b)
+    norm = gram_product(b, b)
+    if norm:
+        assert coroot_pair(a, b) == 2 * gram_product(a, b) / norm
+    else:
+        with pytest.raises(IsotropyError):
+            coroot_pair(a, b)
+    terms = data.draw(st.lists(st.tuples(st.one_of(coordinates, st.integers(-6, 6)), weights),
+                               max_size=6))
+    total = _weight_sum(aid, terms)
+    assert total.coords == tuple(sum((c * w.coords[j] for c, w in terms), F(0))
+                                 for j in range(aid.dim))
+    assert all(type(x) is F for x in total.coords)
+    # d21-2-1 and d21-3-1 share a dimension but not a form
+    for other in (AlgebraId("d21", 2, 1), AlgebraId("d21", 3, 1), AlgebraId("g3")):
+        if other != aid:
+            with pytest.raises(AlgebraMismatchError):
+                pair(a, Weight(other, [1] * other.dim))
+
+
 def test_coroot_pair_rejects_isotropic():
     a = alg("psl2-2")
     with pytest.raises(IsotropyError):
@@ -173,10 +228,18 @@ def test_fundamental_weight_examples():
     assert c.natural_fundamental == (Weight(c.id, [0, 1, 0]), Weight(c.id, [0, 0, 1]))
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES + [n for n in WIDE_GRID if n not in ALL_NAMES])
 def test_fundamental_duality(name):
+    # each omega_a also equals its own one-right-hand-side solve of the
+    # Cartan system, recombined over the natural simple roots by plain sums
     a = alg(name)
+    roots = [s.weight for s in a.natural_simple]
+    n = len(roots)
+    cartan = tuple(tuple(coroot_pair(roots[b], roots[c]) for b in range(n)) for c in range(n))
     for i, w in enumerate(a.natural_fundamental):
+        row = solve_linear(cartan, vector(int(b == i) for b in range(n)))
+        assert w.coords == tuple(sum((x * r.coords[j] for x, r in zip(row, roots)), F(0))
+                                 for j in range(a.id.dim))
         assert pair(w, a.theta) == 0
         for j, s in enumerate(a.natural_simple):
             assert coroot_pair(w, s) == int(i == j)

@@ -108,3 +108,55 @@ def test_solve_resubstitution(data):
     except SingularMatrixError:
         return
     assert tuple(sum(a * xi for a, xi in zip(row, x)) for row in rows) == b
+
+
+# --- several right-hand sides in one elimination -----------------------------
+
+def square_systems(singular: bool):
+    """An n x n matrix and 1-4 right-hand sides; singular ones repeat a
+    multiple of their first row last."""
+    def system(n):
+        rows = st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+        if singular:
+            rows = st.tuples(rows, rationals).map(
+                lambda r: r[0][:-1] + [[r[1] * x for x in r[0][0]]])
+        return st.tuples(rows, st.lists(st.lists(rationals, min_size=n, max_size=n),
+                                        min_size=1, max_size=4))
+    return st.integers(2 if singular else 1, 4).flatmap(system)
+
+
+@settings(max_examples=60)
+@given(square_systems(singular=False))
+def test_several_right_hand_sides_equal_one_solve_each(data):
+    rows, sides = data
+    try:
+        singles = tuple(solve_linear(rows, vector(b)) for b in sides)
+    except SingularMatrixError as err:
+        with pytest.raises(SingularMatrixError) as several:
+            solve_linear(rows, [vector(b) for b in sides])
+        assert several.value.rank == err.rank
+        return
+    assert solve_linear(rows, [vector(b) for b in sides]) == singles
+    assert solve_linear(rows, tuple(map(tuple, sides))) == singles
+
+
+@settings(max_examples=40)
+@given(square_systems(singular=True))
+def test_several_right_hand_sides_report_the_same_rank(data):
+    rows, sides = data
+    with pytest.raises(SingularMatrixError) as one:
+        solve_linear(rows, vector(sides[0]))
+    with pytest.raises(SingularMatrixError) as several:
+        solve_linear(rows, [vector(b) for b in sides])
+    assert several.value.rank == one.value.rank < len(rows)
+
+
+@pytest.mark.parametrize("sides", [
+    [vector([1])],
+    [vector([1, 0]), vector([1])],
+    [vector([1]), vector([1, 0])],
+    [vector([1, 0]), vector([0, 1]), vector([1, 2, 3])],
+], ids=["only", "last", "first", "third"])
+def test_several_right_hand_sides_reject_a_wrong_length(sides):
+    with pytest.raises(DimensionError):
+        solve_linear(((1, 0), (0, 1)), sides)

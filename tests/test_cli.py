@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import walg
 from walg import classify, cli
 from walg.catalog import AlgebraId
-from walg.classify import AffineModuleRecord, DominantWeight, WModuleRecord
+from walg.classify import AffineModuleRecord, DominantWeight, WModuleRecord, standard_levels
 from walg.cli import main, run_command
 from walg.report import Report
 from walg.scalars import rational_str
@@ -389,6 +390,113 @@ def test_unitary_reads_extremality_once(monkeypatch):
         (False, "unitary"), (True, "unitary"), (None, "not_unitary:1b")]
     assert extremal_calls == [(0,), (1,), (9,)]
     assert placements == [(0,), (0,), (1,), (1,), (9,), (9,)]
+
+
+# the levels of the memo tests: three on the range of each family row, one
+# off it and the critical level -h_check, with the weights a query may name
+MEMO_ALGEBRAS = [classify.build_algebra(AlgebraId.parse(name))
+                 for name in ("psl2-2", "spo2-3", "spo2-5", "d21-3-2", "f4", "g3")]
+MEMO_LEVELS = [(alg, k) for alg in MEMO_ALGEBRAS
+               for k in (*standard_levels(alg.id, 3), Fraction(-1, 7), -alg.h_check)]
+
+
+def _k_texts(k):
+    """k as written by rational_str and twice with a common factor (-2/4)."""
+    p, q = k.as_integer_ratio()
+    return [rational_str(k), f"{2 * p}/{2 * q}", f"{3 * p}/{3 * q}"]
+
+
+def _memo_queries(seed, count):
+    """A seeded mixed stream of unitary, reduce and range argv over
+    MEMO_LEVELS: weights inside the cone, extremal ones and one outside it;
+    ell0 below, at and above A(k, nu); h at k/2 and 1/3."""
+    rng = random.Random(seed)
+    pools = []
+    for alg, k in MEMO_LEVELS:
+        lvl = None if k == -alg.h_check else classify.Level(alg, k)
+        inside = list(classify.enumerate_Pk(lvl)) if lvl is not None and lvl.in_range else []
+        extremal = [nu for nu in inside if classify.is_extremal(lvl, nu)]
+        nus = [nu.coeffs for nu in inside + extremal]
+        pools.append((alg.id.name, k, lvl, nus + [(99,) + (0,) * (alg.rank_natural - 1)]))
+    queries = []
+    for _ in range(count):
+        name, k, lvl, nus = rng.choice(pools)
+        head = [name, "--k", rng.choice(_k_texts(k))]
+        kind = rng.choice(("unitary", "reduce", "range"))
+        coeffs = rng.choice(nus)
+        nu = ",".join(map(str, coeffs))
+        if kind == "range":
+            queries.append(["range", *head])
+        elif kind == "reduce":
+            h = rng.choice((k / 2, Fraction(1, 3)))
+            queries.append(["reduce", *head, "--nu", nu, "--h", rational_str(h)])
+        else:
+            A = Fraction(0) if lvl is None else classify.A_value(lvl, DominantWeight(lvl.alg.id, coeffs))
+            ell0 = A + rng.choice((-1, 0, 1))
+            queries.append(["unitary", *head, "--nu", nu, "--ell0", rational_str(ell0)])
+    return queries
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoized_levels_answer_as_fresh_ones(seed):
+    """A stream that repeats levels answers each query as the same query
+    with the level memo cleared before it: every (code, text) agrees, off
+    the range, outside the cone and at the critical level too."""
+    queries = _memo_queries(seed, 300)
+    cli._query_level.cache_clear()
+    answers = [run_command(argv) for argv in queries]
+    assert cli._query_level.cache_info().hits > len(queries) // 2
+    fresh = []
+    for argv in queries:
+        cli._query_level.cache_clear()
+        fresh.append(run_command(argv))
+    assert answers == fresh
+    assert {code for code, _ in answers} == {0, 2}
+
+
+def test_a_refused_level_is_refused_every_time():
+    """The memo keeps no refusal: the critical level of spo2-3 exits 2 on
+    each call, under any text of k, and adds no entry; a valid level still
+    answers after it."""
+    cli._query_level.cache_clear()
+    for text in ("-1/2", "-2/4", "-1/2"):
+        for argv in (["range", "spo2-3", "--k", text],
+                     ["unitary", "spo2-3", "--k", text, "--nu", "0", "--ell0", "0"]):
+            code, out = run_command(argv)
+            assert code == 2 and "critical level k = -1/2" in out
+    assert cli._query_level.cache_info().currsize == 0
+    assert run_json(["range", "spo2-3", "--k", "-3/4"]) == {
+        "algebra": "spo2-3", "k": "-3/4", "in_range": True, "M": ["1"]}
+
+
+def test_the_level_memo_is_bounded():
+    cli._query_level.cache_clear()
+    for n in range(1, cli.QUERY_LEVELS + 41):
+        assert run_command(["range", "psl2-2", "--k", f"-{n}/3"])[0] == 0
+    info = cli._query_level.cache_info()
+    assert info.maxsize == cli.QUERY_LEVELS
+    assert info.currsize == cli.QUERY_LEVELS and info.misses == cli.QUERY_LEVELS + 40
+
+
+def test_memoized_levels_hold_no_cone():
+    """No memoized Level keeps a cone, also after `modules` at the same
+    level, which builds its own Level and adds no entry."""
+    cli._query_level.cache_clear()
+    queries = _memo_queries(4, 100) + [["range", "spo2-3", "--k", "-1"],
+                                       ["range", "f4", "--k", "-2"]]
+    for argv in queries:
+        run_command(argv)
+    size = cli._query_level.cache_info().currsize
+    code, _ = run_command(["modules", "spo2-3", "--k", "-1", "--json"])
+    assert code == 0 and run_command(["modules", "f4", "--k", "-2"])[0] == 0
+    assert cli._query_level.cache_info().currsize == size
+    for argv in queries:
+        try:
+            lvl = cli._query_level(argv[1], argv[3])
+        except ValueError:  # refused, so never memoized
+            continue
+        assert "cone" not in vars(lvl), argv
+    assert cli._query_level.cache_info().currsize == size
 
 
 # spo2-16 at k = -21 (q0 + 40): 21,312,720 weights in the truncated cone

@@ -431,7 +431,8 @@ def _memo_queries(seed, count):
             h = rng.choice((k / 2, Fraction(1, 3)))
             queries.append(["reduce", *head, "--nu", nu, "--h", rational_str(h)])
         else:
-            A = Fraction(0) if lvl is None else classify.A_value(lvl, DominantWeight(lvl.alg.id, coeffs))
+            nu_weight = DominantWeight(AlgebraId.parse(name), coeffs)
+            A = Fraction(0) if lvl is None else classify.A_value(lvl, nu_weight)
             ell0 = A + rng.choice((-1, 0, 1))
             queries.append(["unitary", *head, "--nu", nu, "--ell0", rational_str(ell0)])
     return queries

@@ -30,8 +30,9 @@ SELFCHECK_ALGEBRAS = (
     "d21-2-1", "d21-3-1", "d21-3-2", "d21-5-2", "d21-5-3", "f4", "g3",
 )
 CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
-# The most levels the point queries keep per process: above the levels a
-# query stream cycles through (the benchmark's visits 390 in each round)
+# The most levels the point queries keep per process: more than a query
+# stream cycles through (bench/'s point-queries stream visits 390 per round),
+# since an LRU smaller than that cycle would almost never hit
 QUERY_LEVELS = 1024
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")

@@ -391,23 +391,55 @@ def _failures_and_summary(name: str, report: Report) -> list[str]:
     return [e.line() for e in failures] + [f"{name}: {len(report.entries)} checks, {status}"]
 
 
+# Each point query's handler and its flags, all of them required
+_POINT_QUERIES = {
+    "range": (_cmd_range, {"--k"}),
+    "unitary": (_cmd_unitary, {"--k", "--nu", "--ell0"}),
+    "reduce": (_cmd_reduce, {"--k", "--nu", "--h"}),
+}
+# tokens that _read_point_query leaves to argparse wherever they stand
+_NOT_READ = {"-h", "--help", "--"}
+
+
+def _read_point_query(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that the subcommand's parser builds from a well-formed
+    point query: `range`, `unitary` or `reduce`, an algebra, then each flag
+    of that command once, its value the next token.  None for any other
+    argv, which argparse then reads, usage and help texts included."""
+    handler, flags = _POINT_QUERIES.get(argv[0] if argv else None, (None, set()))
+    if handler is None or len(argv) != 2 + 2 * len(flags):
+        return None
+    values = dict(zip(argv[2::2], argv[3::2]))
+    if (values.keys() != flags or argv[1].startswith("-")
+            or values.get("--nu", "").startswith("-") or not _NOT_READ.isdisjoint(argv)):
+        return None
+    return argparse.Namespace(algebra=argv[1], handler=handler,
+                              **{flag[2:]: value for flag, value in values.items()})
+
+
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit_code, stdout_text).
 
     Never exits: usage errors return code 2 and --help returns code 0, each
-    with its text.  `range`, `unitary` and `reduce` reuse the Level of an
-    (algebra, --k) text pair asked before, up to QUERY_LEVELS per process;
-    none keeps a cone.  Library calls build a new Level each time."""
-    parser = _build_parser()
+    with its text.  A well-formed `range`, `unitary` or `reduce` query is
+    read without argparse (see _read_point_query), and the argument parser
+    is built on the first call that needs it.  These three commands reuse
+    the Level of an (algebra, --k) text pair asked before, up to
+    QUERY_LEVELS per process; none keeps a cone.  Library calls build a new
+    Level each time."""
+    argv = list(argv)
     try:
-        argv = _join_rational_values(list(argv))
-        # an argv that starts with a subcommand is parsed by that
-        # subcommand's parser alone, which reports a usage error with its
-        # own usage; any other argv goes through the root parser
-        command = parser.commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-        if args.handler is None:
-            raise _UsageError(parser.format_usage())
+        args = _read_point_query(argv)
+        if args is None:
+            parser = _build_parser()
+            argv = _join_rational_values(argv)
+            # an argv that starts with a subcommand is parsed by that
+            # subcommand's parser alone, which reports a usage error with its
+            # own usage; any other argv goes through the root parser
+            command = parser.commands.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+            if args.handler is None:
+                raise _UsageError(parser.format_usage())
         return args.handler(args)
     except _HelpRequested as exc:
         return 0, str(exc)

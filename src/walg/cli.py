@@ -397,7 +397,8 @@ _POINT_QUERIES = {
     "unitary": (_cmd_unitary, {"--k", "--nu", "--ell0"}),
     "reduce": (_cmd_reduce, {"--k", "--nu", "--h"}),
 }
-# tokens that _read_point_query leaves to argparse wherever they stand
+# tokens whose reading argparse decides wherever they stand (help, and "--",
+# which argparse 3.11 turns into an empty list as a flag's value)
 _NOT_READ = {"-h", "--help", "--"}
 
 

@@ -6,6 +6,7 @@ import sys
 import time
 import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,16 +322,22 @@ POINT_QUERIES = {
 
 
 @pytest.mark.parametrize("argv,parsers", [
-    *((argv, [f"walg {name}"]) for name, argv in POINT_QUERIES.items()),
+    *((argv, []) for argv in POINT_QUERIES.values()),
+    (["range", "spo2-3", "--k=-1"], ["walg range"]),
+    (["range", "spo2-3", "--k", "-1", "--k", "-3/4"], ["walg range"]),
+    ([*POINT_QUERIES["unitary"], "--help"], ["walg unitary"]),
+    (["reduce", *POINT_QUERIES["reduce"][2:], "spo2-3"], ["walg reduce"]),
     (["--bogus", *POINT_QUERIES["range"]], ["walg", "walg range"]),
     (["--", *POINT_QUERIES["range"]], ["walg"]),
     (["-h", "range"], ["walg"]),
     ([], ["walg"]),
-], ids=[*POINT_QUERIES, "option-first", "dashdash-first", "help-first", "empty"])
+], ids=[*POINT_QUERIES, "k-equals", "repeated-k", "help-after-flags", "algebra-after-flags",
+        "option-first", "dashdash-first", "help-first", "empty"])
 def test_a_call_is_parsed_once(monkeypatch, argv, parsers):
-    """A call that starts with a subcommand is parsed once, by that
-    subcommand's parser alone; any other argv starts at the root parser,
-    which hands what follows a subcommand name to that subcommand's."""
+    """A well-formed point query is read without argparse.  Any other call
+    that starts with a subcommand is parsed once, by that subcommand's
+    parser alone; any other argv starts at the root parser, which hands
+    what follows a subcommand name to that subcommand's."""
     parses = []
     true_parse = cli._Parser.parse_known_args
 
@@ -614,8 +621,8 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     cli._build_parser.cache_clear()
-    for _ in range(50):
-        assert run_command(["range", "spo2-3", "--k", "-3/4"])[0] == 0
+    for _ in range(50):  # "--k=" leaves the call to argparse
+        assert run_command(["range", "spo2-3", "--k=-3/4"])[0] == 0
     # one tree: the root parser and one parser per subcommand
     assert built.count("walg") == 1
     assert len(built) == 1 + len(cli._build_parser().commands)
@@ -628,6 +635,120 @@ def test_parser_is_not_built_at_import():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_point_queries_build_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from walg import cli\n"
+         "for argv in (['range', 'spo2-3', '--k', '-3/4'],\n"
+         "             ['unitary', 'spo2-3', '--k', '-1', '--nu', '1', '--ell0', '1/4'],\n"
+         "             ['reduce', 'spo2-3', '--k', '-1', '--nu', '1', '--h', '-1/4']):\n"
+         "    assert cli.run_command(argv)[0] == 0, argv\n"
+         "print(cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def _through_argparse(argv):
+    """run_command(argv) with the point-query reader declining every argv."""
+    with mock.patch.object(cli, "_read_point_query", return_value=None):
+        return run_command(argv)
+
+
+# well-formed point queries whose values the handlers refuse or answer at an
+# edge: each raises, or answers, inside run_command's one try on both paths
+BAD_POINT_QUERIES = {
+    "nu-not-an-integer": ["unitary", "f4", "--k", "-9/2", "--nu", "1,x", "--ell0", "1"],
+    "nu-underscore": ["unitary", "spo2-3", "--k", "-1", "--nu", "1_0", "--ell0", "1/2"],
+    "nu-arabic-indic-digit": ["reduce", "spo2-3", "--k", "-1", "--nu", "\u0663", "--h", "0"],
+    "nu-too-long": ["reduce", "spo2-3", "--k", "-1", "--nu", "1,0", "--h", "0"],
+    "k-zero-denominator": ["range", "f4", "--k", "1/0"],
+    "k-critical": ["unitary", "spo2-3", "--k", "-1/2", "--nu", "0", "--ell0", "0"],
+    "k-off-range": ["reduce", "psl2-2", "--k", "-3/2", "--nu", "0", "--h", "0"],
+    "ell0-decimal": ["unitary", "spo2-3", "--k", "-1", "--nu", "1", "--ell0", "1.5"],
+    "h-minus-zero": ["reduce", "spo2-3", "--k", "-1", "--nu", "0", "--h", "-0"],
+    "nu-outside-the-cone": ["reduce", "spo2-3", "--k", "-1", "--nu", "99", "--h", "0"],
+    "unitary-outside-the-cone": ["unitary", "spo2-3", "--k", "-1", "--nu", "99",
+                                 "--ell0", "1"],
+    "unknown-algebra": ["range", "spo2-4", "--k", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_POINT_QUERIES.values(), ids=BAD_POINT_QUERIES.keys())
+def test_bad_point_queries_answer_as_through_argparse(argv):
+    assert cli._read_point_query(argv) is not None
+    assert run_command(argv) == _through_argparse(argv)
+
+
+UNITARY_HEAD = ["unitary", "spo2-3", "--k", "-1"]
+DECLINED = {
+    "missing-flag": [*UNITARY_HEAD, "--nu", "0"],
+    "repeated-flag": [*UNITARY_HEAD, "--nu", "0", "--ell0", "0", "--nu", "0"],
+    "repeated-not-missing": [*UNITARY_HEAD, "--k", "-1", "--nu", "0"],
+    "unknown-flag": [*UNITARY_HEAD, "--nu", "0", "--el", "0"],
+    "flag-equals-value": ["unitary", "spo2-3", "--k=-1", "--nu", "0", "--ell0", "0"],
+    "help-after-flags": [*UNITARY_HEAD, "--nu", "0", "--ell0", "0", "--help"],
+    "h-as-value": [*UNITARY_HEAD, "--nu", "0", "--ell0", "-h"],
+    "dashdash-as-value": [*UNITARY_HEAD, "--nu", "0", "--ell0", "--"],
+    "nu-negative": [*UNITARY_HEAD, "--nu", "-1", "--ell0", "0"],
+    "algebra-after-flags": ["range", "--k", "-1", "spo2-3"],
+    "algebra-dash": ["range", "-x", "--k", "-1"],
+    "h-as-algebra": ["range", "-h", "--k", "-1"],
+    "other-command": ["modules", "spo2-3", "--k", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", DECLINED.values(), ids=DECLINED.keys())
+def test_the_point_query_reader_declines(argv):
+    assert cli._read_point_query(argv) is None
+
+
+def test_a_bad_nu_is_a_usage_error_on_the_read_path():
+    argv = BAD_POINT_QUERIES["nu-not-an-integer"]
+    assert run_command(argv) == (2, "--nu expects comma-separated integers, got '1,x'")
+
+
+POINT_FLAGS = {"range": ["--k"], "unitary": ["--k", "--nu", "--ell0"],
+               "reduce": ["--k", "--nu", "--h"]}
+# the tokens of the argvs below: names, numbers of either sign and junk
+JUNK = ["-h", "--help", "--", "-", "", "x", "-x", "1_0", "\u0663", "1.5", "--bogus",
+        "--el", "-k", "--k=-1", "--nu=0", "--ell0=1/2", "--h=-1/4", "modules", "info"]
+NUMBERS = ["0", "1", "-1", "2", "-2", "3/4", "-3/4", "-1/2", "1/0", "-0", "+1", "1,0",
+           "-1,0", "0,1,0", " 1 ", "9"]
+TOKENS = st.sampled_from([*POINT_FLAGS, "psl2-2", "spo2-3", "f4", "--k", "--nu", "--ell0",
+                          "--h", *JUNK, *NUMBERS])
+
+
+@st.composite
+def _near_point_queries(draw):
+    """A point query with its flags in any order, and perhaps a flag
+    dropped or repeated or a token put in anywhere."""
+    command = draw(st.sampled_from(sorted(POINT_FLAGS)))
+    flags = draw(st.permutations(POINT_FLAGS[command]))
+    change = draw(st.sampled_from([None] * 4 + ["drop", "repeat", "insert"]))
+    if change == "drop":
+        flags = flags[1:]
+    elif change == "repeat":
+        flags.append(draw(st.sampled_from(flags)))
+    argv = [command, draw(st.sampled_from(["psl2-2", "spo2-3", "f4", "spo2-4", "x", "-x", "-h"]))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(NUMBERS * 3 + JUNK))]
+    if change == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_point_queries(), st.lists(TOKENS, max_size=8)))
+def test_the_point_query_reader_declines_or_answers_as_argparse(argv):
+    read = cli._read_point_query(argv)
+    if read is not None:
+        parsed = cli._build_parser().commands[argv[0]].parse_args(
+            cli._join_rational_values(argv)[1:])
+        assert vars(read) == vars(parsed)
+        assert run_command(argv) == _through_argparse(argv)
 
 
 @pytest.mark.parametrize("argv,message", [

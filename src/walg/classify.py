@@ -130,10 +130,6 @@ class Level:
         """Affine levels M_i(k) = 2k/(theta_i|theta_i) + chi_i."""
         return tuple(Fraction(n, d) for n, d in self._M_ratios)
 
-    @property
-    def _margins(self) -> tuple[Fraction, ...]:  # M_i(k) + chi_i
-        return tuple(Fraction(n, d) for n, d in self._margin_ratios)
-
     @cached_property
     def _A_consts(self) -> tuple[int, int, int, int]:
         # A = (u Q + X (v X - w)) / den for the integers Q and X of a weight
@@ -304,11 +300,6 @@ class DominantWeight:
     @cached_property
     def _theta_i(self) -> tuple[int, ...]:  # E (w|theta_i) per summand
         return tuple(_dot(self._scaled, t) for t in _ambient_constants(self.algebra).g_theta_i)
-
-    @cached_property
-    def xi_pair(self) -> Fraction:  # (xi|w)
-        c = _ambient_constants(self.algebra)
-        return Fraction(_dot(self._scaled, c.g_xi), c.E)
 
     @property
     def is_zero(self) -> bool:
@@ -571,15 +562,16 @@ def ell0(lvl: Level, nu: DominantWeight, h) -> Fraction:
 
 def extremal_h_set(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     """The two-point set {(xi|nu), k + 1 - (xi|nu)} in increasing order: a
-    pair, or one point when the two coincide."""
-    _label_algebra(lvl, nu)
-    x, (p, q) = nu.xi_pair, lvl.k.as_integer_ratio()
-    n, y = x.as_integer_ratio()
-    r = (p + q) * y - q * n  # q y (k + 1 - x), and q y > 0
-    if r == q * n:
+    pair, or one point when the two coincide.  (xi|nu) = X / D, with X of
+    the weight's threshold integers (DominantWeight._A_ints) and D of _basis."""
+    aid = _label_algebra(lvl, nu)
+    X, D, (p, q) = nu._A_ints[1], _basis(aid).D, lvl.k.as_integer_ratio()
+    r = (p + q) * D - q * X  # q D (k + 1 - X/D), and q D > 0
+    x = Fraction(X, D)
+    if r == q * X:
         return (x,)
-    mirror = Fraction(r, q * y)
-    return (x, mirror) if r > q * n else (mirror, x)
+    mirror = Fraction(r, q * D)
+    return (x, mirror) if r > q * X else (mirror, x)
 
 
 @dataclass(frozen=True)
@@ -789,13 +781,15 @@ def _nu_plus_xi_in_Pk(lvl: Level, nu: DominantWeight) -> bool:
 
 def _threshold_identity(lvl: Level, nu: DominantWeight, threshold: Fraction) -> bool:
     """(w|w + 2 rho)/2 - A (k + h_check) = (xi|nu)(k + 1 - (xi|nu)) at A = An/Ad,
-    times 2 E y^2 q b Ad: with P and d as in _ell0_coeffs and (xi|nu) = x/y,
-    y^2 (P q b Ad - 2 E d An) = 2 E b Ad x ((p + q) y - q x)."""
-    E = _ambient_constants(lvl.alg.id).E
+    times 2 E^2 q b Ad: with P and d as in _ell0_coeffs and (xi|nu) = x/E
+    for the ambient integer x = E (xi|w),
+    E (P q b Ad - 2 E d An) = 2 b Ad x ((p + q) E - q x)."""
+    c = _ambient_constants(lvl.alg.id)
+    E, x = c.E, _dot(nu._scaled, c.g_xi)
     (p, q), (a, b) = lvl.k.as_integer_ratio(), lvl.alg.h_check.as_integer_ratio()
-    (An, Ad), (x, y) = threshold.as_integer_ratio(), nu.xi_pair.as_integer_ratio()
-    return (y * y * (nu._norm * q * b * Ad - 2 * E * (p * b + a * q) * An)
-            == 2 * E * b * Ad * x * ((p + q) * y - q * x))
+    An, Ad = threshold.as_integer_ratio()
+    return (E * (nu._norm * q * b * Ad - 2 * E * (p * b + a * q) * An)
+            == 2 * b * Ad * x * ((p + q) * E - q * x))
 
 
 def first_failure(failures: Iterable[tuple[DominantWeight, Optional[Fraction]]]) -> bool | str:
@@ -835,6 +829,7 @@ def cross_identity_report(lvl: Level) -> Report:
 
     cone = enumerate_Pk(lvl)
     extremal = [is_extremal(lvl, nu) for nu in cone]  # aligned with the cone
+    h_sets = [extremal_h_set(lvl, nu) for nu in cone]  # likewise, for two checks
 
     rep.add("classify.extremal-dual",
             formula="extremality by the chi margin agrees with nu + xi leaving the cone",
@@ -870,11 +865,11 @@ def cross_identity_report(lvl: Level) -> Report:
     # constant coefficient is computed from the ambient pairing, so this
     # check is the oracle of the basis form of A.
     def threshold_failures():
-        for nu in cone:
+        for nu, h_set in zip(cone, h_sets):
             threshold = A_value(lvl, nu)
             if not _threshold_identity(lvl, nu, threshold):
                 yield nu, None
-            for h in extremal_h_set(lvl, nu):
+            for h in h_set:
                 if ell0(lvl, nu, h) != threshold:
                     yield nu, h
 
@@ -885,12 +880,13 @@ def cross_identity_report(lvl: Level) -> Report:
     # the h of a non-extremal weight: these, sorted once per level, and (xi|nu)
     # sorted in when it is not one of them
     fixed_hs = sorted({Fraction(0), Fraction(-1, 2), k + 1})
+    D = _basis(alg.id).D
 
     def reduce_failures():
-        for nu, ext in zip(cone, extremal):
-            x = nu.xi_pair
-            hs = (extremal_h_set(lvl, nu) if ext
-                  else fixed_hs if x in fixed_hs else sorted([*fixed_hs, x]))
+        for nu, ext, hs in zip(cone, extremal, h_sets):
+            if not ext:  # (xi|nu) = X / D, as extremal_h_set reads it
+                x = Fraction(nu._A_ints[1], D)
+                hs = fixed_hs if x in fixed_hs else sorted([*fixed_hs, x])
             for h in hs:
                 label = AffineModuleLabel(nu, h)
                 if not affine_module_descends(lvl, label):

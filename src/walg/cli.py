@@ -57,12 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _join_rational_values(argv: list[str]) -> list[str]:
-    # "--k -3/4" confuses argparse (the value looks like a flag); fold it in
+    # "--k -3/4" confuses argparse (the value looks like a flag); fold it in.
+    # "--" is left to argparse, which reads it as the end of the flags, so
+    # "--k --" is refused as a flag without its value
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _RATIONAL_FLAGS and i + 1 < len(argv):
+        if tok in _RATIONAL_FLAGS and i + 1 < len(argv) and argv[i + 1] != "--":
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -137,7 +139,7 @@ def _parse_nu(alg, text: str) -> DominantWeight:
     parts = [part.strip() for part in text.split(",")]
     # int() alone would also read "1_0" and "٣"
     if not all(map(_INTEGER_TEXT.fullmatch, parts)):
-        raise _UsageError(f"--nu expects comma-separated integers, got {text!r}")
+        raise ValueError(f"--nu expects comma-separated integers, got {text!r}")
     return DominantWeight(alg.id, tuple(map(int, parts)))
 
 
@@ -398,7 +400,7 @@ _POINT_QUERIES = {
     "reduce": (_cmd_reduce, {"--k", "--nu", "--h"}),
 }
 # tokens whose reading argparse decides wherever they stand (help, and "--",
-# which argparse 3.11 turns into an empty list as a flag's value)
+# which ends the flags, also where a flag's value is due)
 _NOT_READ = {"-h", "--help", "--"}
 
 

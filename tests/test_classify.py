@@ -702,10 +702,14 @@ def test_integer_pairings_match_fraction_references(label):
     lvl, nu, h = label
     alg = lvl.alg
     w = nu.weight()
-    E = classify._ambient_constants(alg.id).E
+    c = classify._ambient_constants(alg.id)
+    E = c.E
     assert nu._norm == E * pair(w, w + 2 * alg.rho)
     assert nu._theta == E * pair(alg.theta, w)
-    assert nu.xi_pair == pair(alg.xi, w)
+    # (xi|w): on the ambient integers, as _threshold_identity reads it, and
+    # as X / D of the basis, as extremal_h_set reads it
+    assert classify._dot(nu._scaled, c.g_xi) == E * pair(alg.xi, w)
+    assert F(nu._A_ints[1], classify._basis(alg.id).D) == pair(alg.xi, w)
     assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
     assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
     assert classify._nu_plus_xi_in_Pk(lvl, nu) is fraction_nu_plus_xi_in_Pk(lvl, nu)
@@ -741,7 +745,8 @@ def test_integer_level_bounds_off_the_range(name):
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_oracle_never_reads_the_basis(monkeypatch, name):
     """The ambient oracle stays independent of the integer basis path: with
-    classify._basis raising, it still answers on fresh weights and levels."""
+    classify._basis raising, it still answers on fresh weights and levels.
+    extremal_h_set is not part of it: it reads (xi|nu) off the basis."""
     def no_basis(aid):
         raise AssertionError("the oracle read classify._basis")
 
@@ -752,7 +757,8 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
     with pytest.raises(AssertionError):  # the basis path does read it
         theta_values(level(aid, -1), DominantWeight(aid, (0,) * alg.rank_natural))
     rank = alg.rank_natural
-    E = classify._ambient_constants(aid).E
+    c = classify._ambient_constants(aid)
+    E = c.E
     weights = list(product(range(3), repeat=rank)) if rank <= 3 else [
         (0,) * rank, (1,) * rank,
         *(tuple(m * (a == b) for b in range(rank)) for a in range(rank) for m in (1, 2))]
@@ -764,9 +770,11 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
             w = nu.weight()
             assert nu._norm == E * pair(w, w + 2 * alg.rho)
             assert nu._theta == E * pair(alg.theta, w)
-            assert nu.xi_pair == pair(alg.xi, w)
+            assert classify._dot(nu._scaled, c.g_xi) == E * pair(alg.xi, w)
             assert nu._theta_i == tuple(E * pair(w, t) for t in alg.theta_i)
-            assert extremal_h_set(lvl, nu) == tuple(sorted({nu.xi_pair, k + 1 - nu.xi_pair}))
+            threshold = ambient_A(lvl, nu)
+            assert classify._threshold_identity(lvl, nu, threshold) is True
+            assert classify._threshold_identity(lvl, nu, threshold + 1) is False
             for h in (F(0), F(1, 3), k / 2):
                 assert ell0(lvl, nu, h) == direct_ell0(lvl, nu, h)
             dual[lvl, nu] = classify._nu_plus_xi_in_Pk(lvl, nu)
@@ -774,6 +782,58 @@ def test_oracle_never_reads_the_basis(monkeypatch, name):
     _clear_walg_caches()
     for (lvl, nu), answer in dual.items():
         assert answer is fraction_nu_plus_xi_in_Pk(lvl, nu), (name, lvl.k, nu.coeffs)
+
+
+# --- the basis path without the ambient oracle, the mirror of the above ------
+
+def basis_path_answers(name):
+    """What the basis path answers at the second standard level of one
+    algebra: both module lists, the two-point set and affine descent of
+    every cone weight at h in and off that set, walg modules (W and
+    --affine, JSON and text), and walg unitary and range on weights inside
+    and outside the cone."""
+    aid = AlgebraId.parse(name)
+    k = standard_levels(aid, 2)[1]
+    lvl = level(aid, k)
+    cone = enumerate_Pk(lvl)
+    answers = [classify_w_modules(lvl), classify_affine_modules(lvl)]
+    for nu in cone:
+        hs = extremal_h_set(lvl, nu)
+        answers.append(hs)
+        answers.append([affine_module_descends(lvl, AffineModuleLabel(nu, h))
+                        for h in (*hs, hs[0] + F(1, 7), F(0))])
+    for coeffs in (cone[0].coeffs, cone[-1].coeffs, (9,) * lvl.alg.rank_natural):
+        nu = ",".join(map(str, coeffs))
+        for ell in ("0", "1/3"):
+            answers.append(cli.run_command(["unitary", name, "--k", rational_str(k),
+                                            "--nu", nu, "--ell0", ell]))
+    for flags in ([], ["--json"], ["--affine"], ["--affine", "--json"]):
+        answers.append(cli.run_command(["modules", name, "--k", rational_str(k), *flags]))
+    answers.append(cli.run_command(["range", name, "--k", rational_str(k)]))
+    return answers
+
+
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_basis_path_never_reads_the_ambient_oracle(monkeypatch, name):
+    """With classify._ambient_constants raising, module lists, the
+    two-point set, affine descent, modules, unitary and range answer as
+    with it, byte for byte; reduce still reads it, through ell0.  Every
+    walg cache is cleared first, so no ambient fact computed before is read
+    again."""
+    def no_ambient(aid):
+        raise AssertionError("the basis path read classify._ambient_constants")
+
+    want = basis_path_answers(name)
+    aid = AlgebraId.parse(name)
+    k = rational_str(standard_levels(aid, 2)[1])
+    zero = ",".join("0" * catalog.build_algebra(aid).rank_natural)
+    monkeypatch.setattr(classify, "_ambient_constants", no_ambient)
+    _clear_walg_caches()
+    assert basis_path_answers(name) == want
+    with pytest.raises(AssertionError, match="_ambient_constants"):
+        cli.run_command(["reduce", name, "--k", k, "--nu", zero, "--h", "1/3"])
+    monkeypatch.undo()
+    _clear_walg_caches()
 
 
 @pytest.mark.parametrize("shift", [
@@ -800,7 +860,8 @@ def fraction_threshold_identity(lvl, nu, threshold):
     classify.threshold-roots that _threshold_identity replaced, with
     (w|w + 2 rho) paired directly."""
     k, alg = lvl.k, lvl.alg
-    xi_nu, w = nu.xi_pair, nu.weight()
+    w = nu.weight()
+    xi_nu = pair(alg.xi, w)
     lhs = pair(w, w + 2 * alg.rho) / 2 - threshold * (k + alg.h_check)
     return lhs == xi_nu * (k + 1 - xi_nu)
 
@@ -813,8 +874,9 @@ def fraction_reduction_vanishes(k, h):
 
 
 def fraction_extremal_h_set(lvl, nu):
-    """The Fraction form of extremal_h_set, in increasing order."""
-    x = nu.xi_pair
+    """The Fraction form of extremal_h_set, in increasing order, with
+    (xi|nu) paired directly."""
+    x = pair(lvl.alg.xi, nu.weight())
     return tuple(sorted({x, lvl.k + 1 - x}))
 
 
@@ -848,7 +910,7 @@ def test_integer_cross_identities_match_fraction_references(label):
             assert (hamiltonian_reduce(lvl, AffineModuleLabel(nu, g)) is None) is vanishes
     if lvl.in_range:
         # affine_module_descends tests h in the two-point set on integers
-        where, x = fraction_extremal(lvl, nu), nu.xi_pair
+        where, x = fraction_extremal(lvl, nu), pair(lvl.alg.xi, nu.weight())
         for g in (h, x, k + 1 - x, x + 1, k - x):
             want = where is not None and (not where or g in fraction_extremal_h_set(lvl, nu))
             assert affine_module_descends(lvl, AffineModuleLabel(nu, g)) is want, g
@@ -862,7 +924,7 @@ def integer_equations_descend(lvl, nu, h):
     if not where:
         return where is not None
     (r, s), (p, q) = h.as_integer_ratio(), lvl.k.as_integer_ratio()
-    x, y = nu.xi_pair.as_integer_ratio()
+    x, y = pair(lvl.alg.xi, nu.weight()).as_integer_ratio()
     return (r, s) == (x, y) or r * q * y == s * ((p + q) * y - q * x)
 
 
@@ -874,9 +936,10 @@ def test_extremal_h_set_is_increasing_and_descends_by_it(label):
     with the integer equations at both points, a seventh off each, and h."""
     lvl, nu, h = label
     hs = extremal_h_set(lvl, nu)
+    x = pair(lvl.alg.xi, nu.weight())
     assert all(a < b for a, b in zip(hs, hs[1:]))
-    assert (len(hs) == 1) is (2 * nu.xi_pair == lvl.k + 1)
-    assert set(hs) == {nu.xi_pair, lvl.k + 1 - nu.xi_pair}
+    assert (len(hs) == 1) is (2 * x == lvl.k + 1)
+    assert set(hs) == {x, lvl.k + 1 - x}
     for g in (h, *(x + d for x in hs for d in (0, F(1, 7), F(-1, 7)))):
         assert affine_module_descends(lvl, AffineModuleLabel(nu, g)) is \
             integer_equations_descend(lvl, nu, g), g
@@ -909,13 +972,19 @@ def fraction_chi_bound_nu_plus_xi_in_Pk(lvl, nu):
                for g_t, norm, chi in zip(c.g_theta_i, c.theta_i_norms, lvl.alg.chi))
 
 
+def level_margins(lvl):
+    """M_i(k) + chi_i per summand, as Fractions of the level's integer
+    pairs."""
+    return tuple(F(n, d) for n, d in lvl._margin_ratios)
+
+
 def fraction_margin_site(lvl, extremal):
     """The computed value of classify.margin-nonneg as it was before it
     compared integers: (M_i + chi_i - v).denominator == 1 and M_i + chi_i >= v
     per summand, for v = nu(theta_i-coroot), off the extremal set."""
     return first_failure((nu, None) for nu in enumerate_Pk(lvl) if not extremal(lvl, nu)
                          and not all((m - v).denominator == 1 and m >= v
-                                     for v, m in zip(theta_values(lvl, nu), lvl._margins)))
+                                     for v, m in zip(theta_values(lvl, nu), level_margins(lvl))))
 
 
 def assert_margin_site_matches_fraction_form(lvl):
@@ -1025,7 +1094,7 @@ def any_levels(draw):
 @given(any_levels())
 def test_integer_level_facts_match_fraction_forms(lvl):
     in_range, M, margins, floors = fraction_level_facts(lvl)
-    assert (lvl.in_range, lvl.M, lvl._margins, lvl._floors) == (in_range, M, margins, floors)
+    assert (lvl.in_range, lvl.M, level_margins(lvl), lvl._floors) == (in_range, M, margins, floors)
     assert in_unitarity_range(lvl) is in_range and level_M(lvl) == M
     # conditions 1a and the margins of unitarity_verdict, on and off the range
     rank = lvl.alg.rank_natural
@@ -1143,7 +1212,7 @@ def test_record_verdicts_match_a_verdict_per_weight():
     levels = [*cli._selfcheck_levels(True), *(level(name, k) for name, k in DEEP_LEVELS)]
     # every class occurs: a negative margin M_i(k) + chi_i makes the zero
     # weight extremal, and some extremal verdict stays open
-    assert any(any(m < 0 for m in lvl._margins) for lvl in levels)
+    assert any(any(m < 0 for m in level_margins(lvl)) for lvl in levels)
     classes = set()
     for lvl in levels:
         for rec in classify_w_modules(lvl):

@@ -707,7 +707,26 @@ def test_the_point_query_reader_declines(argv):
 
 def test_a_bad_nu_is_a_usage_error_on_the_read_path():
     argv = BAD_POINT_QUERIES["nu-not-an-integer"]
-    assert run_command(argv) == (2, "--nu expects comma-separated integers, got '1,x'")
+    assert run_command(argv) == (
+        2, "walg: error: --nu expects comma-separated integers, got '1,x'\n")
+
+
+# "--" as a flag's value: argparse reads it as the end of the flags, so the
+# flag is refused for want of its value, with the subcommand's usage
+DASHDASH_VALUES = {
+    "range-k": (["range", "psl2-2", "--k", "--"], "range", "--k", RANGE_USAGE),
+    "unitary-ell0": ([*UNITARY_NU0, "--ell0", "--"], "unitary", "--ell0", UNITARY_USAGE),
+    "reduce-h": (["reduce", "psl2-2", "--k", "-2", "--nu", "0", "--h", "--"], "reduce", "--h",
+                 "usage: walg reduce [-h] --k K --nu NU --h H algebra\n"),
+    "modules-k": (["modules", "psl2-2", "--k", "--"], "modules", "--k", MODULES_USAGE),
+}
+
+
+@pytest.mark.parametrize("argv,command,flag,usage", DASHDASH_VALUES.values(),
+                         ids=DASHDASH_VALUES.keys())
+def test_a_dashdash_value_is_a_flag_without_its_value(argv, command, flag, usage):
+    assert run_command(argv) == (
+        2, f"walg {command}: error: argument {flag}: expected one argument\n" + usage)
 
 
 POINT_FLAGS = {"range": ["--k"], "unitary": ["--k", "--nu", "--ell0"],
@@ -743,6 +762,9 @@ def _near_point_queries(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_near_point_queries(), st.lists(TOKENS, max_size=8)))
 def test_the_point_query_reader_declines_or_answers_as_argparse(argv):
+    # every argv is answered, none raises out of run_command
+    code, text = run_command(argv)
+    assert code in (0, 1, 2) and type(text) is str
     read = cli._read_point_query(argv)
     if read is not None:
         parsed = cli._build_parser().commands[argv[0]].parse_args(
@@ -753,9 +775,9 @@ def test_the_point_query_reader_declines_or_answers_as_argparse(argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["unitary", "spo2-3", "--k", "-1", "--nu", "1_0", "--ell0", "1/2"],
-     "--nu expects comma-separated integers, got '1_0'"),
+     "walg: error: --nu expects comma-separated integers, got '1_0'\n"),
     (["unitary", "spo2-3", "--k", "-1", "--nu", "\u0663", "--ell0", "1/2"],
-     "--nu expects comma-separated integers, got '\u0663'"),
+     "walg: error: --nu expects comma-separated integers, got '\u0663'\n"),
     (["range", "psl2-2", "--k", "-\u0663"], "walg: error: not a p/q rational: '-\u0663'\n"),
 ], ids=["nu-underscore", "nu-arabic-indic-digit", "k-arabic-indic-digit"])
 def test_numbers_are_written_in_ascii_digits(argv, message):

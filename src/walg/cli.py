@@ -145,10 +145,12 @@ def _parse_nu(alg, text: str) -> DominantWeight:
 
 def _dump(payload) -> str:
     """The bytes of json.dumps(payload, indent=2) + "\\n", the writer of
-    every CLI document but the records of `modules` (see _modules_json and
-    docs/schema.md).  It writes what walg's documents hold: str, int, bool
-    and None leaves in lists and in dicts keyed by str, each matched by
-    exact type; any other value raises TypeError."""
+    every CLI document but the records of `modules` (see _modules_json) and
+    the `range`, `unitary` and `reduce` documents, which their handlers
+    write in one step (see _query_head and docs/schema.md).  It writes what
+    walg's documents hold: str, int, bool and None leaves in lists and in
+    dicts keyed by str, each matched by exact type; any other value raises
+    TypeError."""
     return _encode(payload, "\n") + "\n"
 
 
@@ -206,9 +208,24 @@ def _affine_record(rec: AffineModuleRecord) -> str:
             f'      "h": {h}\n    }}')
 
 
-def _column(items) -> str:
-    """A nonempty list of JSON texts as the value of a record's key."""
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+def _column(items, indent: int = 6) -> str:
+    """A nonempty list of JSON texts as the value of a key at that indent:
+    a record's by default, or a point query's top-level or nested key."""
+    head, sep, close = _COLUMNS[indent]
+    return head + sep.join(items) + close
+
+
+# the text before a list's first item, between two items and after its last,
+# by the indent of its key; formed once, since a modules document writes one
+# list per record
+_COLUMNS = {n: ("[\n" + " " * (n + 2), ",\n" + " " * (n + 2), "\n" + " " * n + "]")
+            for n in (2, 4, 6)}
+
+
+def _query_head(lvl: Level) -> str:
+    """The opening of a range, unitary or reduce document: "{", then its
+    "algebra" and "k" lines, as _dump writes them."""
+    return f'{{\n  "algebra": {_escape(lvl.name)},\n  "k": "{rational_str(lvl.k)}",\n'
 
 
 def _catalog_header(lvl: Level) -> dict:
@@ -234,13 +251,9 @@ def _query_level(algebra: str, k: str) -> Level:
 
 def _cmd_range(args) -> tuple[int, str]:
     lvl = _query_level(args.algebra, args.k)
-    payload = {
-        "algebra": lvl.name,
-        "k": rational_str(lvl.k),
-        "in_range": in_unitarity_range(lvl),
-        "M": [rational_str(m) for m in level_M(lvl)],
-    }
-    return 0, _dump(payload)
+    M = _column((f'"{rational_str(m)}"' for m in level_M(lvl)), 2)
+    return 0, (f'{_query_head(lvl)}  "in_range": {_WORDS(in_unitarity_range(lvl))},\n'
+               f'  "M": {M}\n}}\n')
 
 
 def _cmd_modules(args) -> tuple[int, str]:
@@ -293,16 +306,9 @@ def _cmd_unitary(args) -> tuple[int, str]:
         extremal = is_extremal(lvl, nu)
     except RangeError:  # outside the truncated cone
         extremal = None
-    payload = {
-        "algebra": lvl.name,
-        "k": rational_str(lvl.k),
-        "nu": list(nu.coeffs),
-        "ell0": rational_str(label.ell0),
-        "extremal": extremal,
-        "A": rational_str(A_value(lvl, nu)),
-        "verdict": str(verdict),
-    }
-    return 0, _dump(payload)
+    return 0, (f'{_query_head(lvl)}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
+               f'  "ell0": "{rational_str(label.ell0)}",\n  "extremal": {_WORDS(extremal)},\n'
+               f'  "A": "{rational_str(A_value(lvl, nu))}",\n  "verdict": "{verdict}"\n}}\n')
 
 
 def _cmd_reduce(args) -> tuple[int, str]:
@@ -310,20 +316,11 @@ def _cmd_reduce(args) -> tuple[int, str]:
     nu = _parse_nu(lvl.alg, args.nu)
     label = AffineModuleLabel(nu, rational(args.h))
     reduced = hamiltonian_reduce(lvl, label)
-    payload = {
-        "algebra": lvl.name,
-        "k": rational_str(lvl.k),
-        "nu": list(nu.coeffs),
-        "h": rational_str(label.h),
-    }
-    if reduced is None:
-        payload["result"] = "zero"
-    else:
-        payload["result"] = {
-            "nu_coeffs": list(reduced.nu.coeffs),
-            "ell0": rational_str(reduced.ell0),
-        }
-    return 0, _dump(payload)
+    result = '"zero"' if reduced is None else (
+        f'{{\n    "nu_coeffs": {_column(map(str, reduced.nu.coeffs), 4)},\n'
+        f'    "ell0": "{rational_str(reduced.ell0)}"\n  }}')
+    return 0, (f'{_query_head(lvl)}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
+               f'  "h": "{rational_str(label.h)}",\n  "result": {result}\n}}\n')
 
 
 def _cmd_reflect(args) -> tuple[int, str]:

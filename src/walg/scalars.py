@@ -60,8 +60,9 @@ def rational(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_TEXT.fullmatch(text):
             raise ValueError(f"not a p/q rational: {value!r}")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in the rational {value!r}") from None
     return Fraction(value)
@@ -69,10 +70,8 @@ def rational(value: RationalLike) -> Fraction:
 
 def rational_str(value: RationalLike) -> str:
     """Render as ``p/q``, or plain ``n`` when the denominator is 1."""
-    value = rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    num, den = rational(value).as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def vector(entries: Iterable[RationalLike]) -> Vector:

@@ -626,6 +626,30 @@ def test_oracle_fails_on_a_mutated_algebra(monkeypatch, field, shift, must_fail)
             assert must_fail <= failed, (name, lvl.k, failed)
 
 
+@pytest.mark.parametrize("name", MUTATION_LEVELS)
+def test_reduce_descends_tries_the_labels_of_each_weight(monkeypatch, name):
+    """classify.reduce-descends passes at any h when the reduction chain is
+    right, so the h it tries are pinned here: 0, -1/2, k + 1 and the oracle's
+    (xi|nu) for a non-extremal weight, the two-point set for an extremal one."""
+    lvl = level(name, standard_levels(AlgebraId.parse(name), 2)[1])
+    tried = {}
+
+    def recorded(lvl, label, _true=affine_module_descends):
+        tried.setdefault(label.nu.coeffs, set()).add(label.h)
+        return _true(lvl, label)
+
+    monkeypatch.setattr(classify, "affine_module_descends", recorded)
+    cross_identity_report(lvl)
+    cone = enumerate_Pk(lvl)
+    assert tried.keys() == {nu.coeffs for nu in cone}
+    for nu in cone:
+        if is_extremal(lvl, nu):
+            expected = set(extremal_h_set(lvl, nu))
+        else:
+            expected = {F(0), F(-1, 2), lvl.k + 1, pair(lvl.alg.xi, nu.weight())}
+        assert tried[nu.coeffs] == expected, nu.coeffs
+
+
 @pytest.mark.parametrize("mutation", ["theta+theta_1/3", "comarks[0][0]+1"])
 @pytest.mark.parametrize("name", MUTATION_LEVELS)
 def test_integrability_step_names_its_failure_site(monkeypatch, name, mutation):

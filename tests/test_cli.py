@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import walg
 from walg import classify, cli
@@ -918,6 +918,82 @@ def test_record_writers_give_the_bytes_of_json_dumps(kind_records, ledger):
     header = {**HEADER, "kind": kind}
     document = {**header, "modules": dicts, **({} if ledger is None else {"ledger": ledger})}
     assert cli._modules_json(header, items, ledger) == json.dumps(document, indent=2) + "\n"
+
+
+def _point_query_payload(argv):
+    """The document of a range, unitary or reduce query as a dict, built
+    from the library calls alone: the reference that each point-query
+    writer is held to through _dump."""
+    command, values = argv[0], dict(zip(argv[2::2], argv[3::2]))
+    lvl = classify.level(argv[1], values["--k"])
+    payload = {"algebra": lvl.name, "k": rational_str(lvl.k)}
+    if command == "range":
+        return {**payload, "in_range": classify.in_unitarity_range(lvl),
+                "M": [rational_str(m) for m in classify.level_M(lvl)]}
+    nu = DominantWeight(lvl.alg.id, tuple(map(int, values["--nu"].split(","))))
+    payload["nu"] = list(nu.coeffs)
+    if command == "unitary":
+        label = classify.WModuleLabel(nu, values["--ell0"])
+        verdict = classify.unitarity_verdict(lvl, label)
+        try:
+            extremal = classify.is_extremal(lvl, nu)
+        except classify.RangeError:
+            extremal = None
+        return {**payload, "ell0": rational_str(label.ell0), "extremal": extremal,
+                "A": rational_str(classify.A_value(lvl, nu)), "verdict": str(verdict)}
+    label = classify.AffineModuleLabel(nu, values["--h"])
+    reduced = classify.hamiltonian_reduce(lvl, label)
+    payload["h"] = rational_str(label.h)
+    payload["result"] = "zero" if reduced is None else {
+        "nu_coeffs": list(reduced.nu.coeffs), "ell0": rational_str(reduced.ell0)}
+    return payload
+
+
+# one algebra of each FAMILY_TABLE row, spo2-m odd and even, d21-m-n at two
+# parameter pairs: ranks 1 (psl2-2, spo2-3) to 3 (spo2-6, f4)
+WRITER_ALGEBRAS = ["psl2-2", "spo2-3", "spo2-5", "spo2-6", "d21-2-1", "d21-5-3", "f4", "g3"]
+# small, negative and fractional rationals, and big ones
+QUERY_RATIONALS = st.one_of(st.fractions(-9, 9, max_denominator=8), RATIONALS)
+
+
+@st.composite
+def _written_point_queries(draw):
+    """A range query at any level but the critical one, or a unitary or
+    reduce query on the unitarity range: unitary with a weight inside the
+    cone or perhaps outside it (extremal null) and ell0 at, below or above
+    A; reduce with a weight of the cone and h in its two-point set, at a
+    vanishing h (result "zero") or anywhere.  Rationals are written in
+    lowest terms or with a common factor."""
+    name = draw(st.sampled_from(WRITER_ALGEBRAS))
+    aid = AlgebraId.parse(name)
+    command = draw(st.sampled_from(sorted(POINT_FLAGS)))
+    if command == "range":
+        k = draw(QUERY_RATIONALS.filter(lambda k: k != -classify.build_algebra(aid).h_check))
+        return ["range", name, "--k", draw(st.sampled_from(_k_texts(k)))]
+    k = draw(st.sampled_from(standard_levels(aid, 3)))
+    lvl = classify.level(name, k)
+    cone = classify.enumerate_Pk(lvl)
+    rank = len(cone[0].coeffs)
+    outside = st.tuples(*[st.integers(0, 9)] * rank).map(lambda c: DominantWeight(aid, c))
+    nu = draw(st.sampled_from(cone) | outside if command == "unitary" else st.sampled_from(cone))
+    if command == "unitary":
+        flag = "--ell0"
+        value = classify.A_value(lvl, nu) + draw(st.sampled_from([0, 0, -1, 1]) | QUERY_RATIONALS)
+    else:
+        flag = "--h"
+        value = draw(st.sampled_from(classify.extremal_h_set(lvl, nu))
+                     | st.integers(0, 3).map(lambda n: (k - n) / 2) | QUERY_RATIONALS)
+    return [command, name, "--k", draw(st.sampled_from(_k_texts(k))),
+            "--nu", ",".join(map(str, nu.coeffs)), flag, draw(st.sampled_from(_k_texts(value)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_point_queries())
+@example(["unitary", "f4", "--k", "-2", "--nu", "9,1,0", "--ell0", "3/2"])  # extremal null
+@example(["reduce", "spo2-5", "--k", "-3/2", "--nu", "1,0", "--h", "-3/4"])  # zero
+@example(["reduce", "spo2-5", "--k", "-3/2", "--nu", "1,0", "--h", "-1/2"])  # nested
+def test_point_query_writers_give_the_bytes_of_dump(argv):
+    assert run_command(argv) == (0, cli._dump(_point_query_payload(argv)))
 
 
 def test_repeat_invocations_are_deterministic():

@@ -44,6 +44,43 @@ def test_rational_reads_ascii_digits_only(text):
         rational(text)
 
 
+# the texts that _RATIONAL_TEXT accepts: a sign or none, ASCII digits with
+# leading zeros, perhaps "/" and more digits, in surrounding whitespace
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=30)
+SPACE = st.text(alphabet=" \t\n\r\f\v", max_size=2)
+RATIONAL_TEXTS = st.builds(
+    lambda pad, sign, zeros, num, den, tail: f"{pad}{sign}{zeros}{num}{den}{tail}",
+    SPACE, st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "000"]), DIGITS,
+    st.just("") | DIGITS.filter(lambda d: d.strip("0")).map("/{}".format),
+    SPACE)
+
+
+@settings(max_examples=500)
+@given(RATIONAL_TEXTS)
+def test_rational_text_reads_as_fraction_reads_it(text):
+    assert rational(text) == F(text.strip())
+    assert type(rational(text)) is F
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1/2/3", "/2", "1/", "- 1", "1 /2", ""])
+def test_rational_refuses_what_is_not_p_over_q(text):
+    with pytest.raises(ValueError) as info:
+        rational(text)
+    assert str(info.value) == f"not a p/q rational: {text!r}"
+
+
+@given(st.one_of(st.integers(-2**100, 2**100), st.fractions(), RATIONAL_TEXTS))
+def test_rational_str_writes_what_fraction_writes(value):
+    assert rational_str(value) == str(rational(value))
+
+
+@pytest.mark.parametrize("value, error", [(0.5, TypeError), (True, TypeError),
+                                          ("0.5", ValueError), ("1/0", ValueError)])
+def test_rational_str_refuses_what_rational_refuses(value, error):
+    with pytest.raises(error):
+        rational_str(value)
+
+
 def test_rational_rejects_floats():
     with pytest.raises(TypeError):
         rational(0.5)

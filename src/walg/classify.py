@@ -189,11 +189,12 @@ class Level:
             cap = _cap(budgets, col)
             lin, diag, x = basis.two_rho[a] + 2 * g[a], gram[a][a], basis.xi[a]
             if a == last:
+                # the comark values step by the column from c to c + 1
                 spent = tuple(m - b for m, b in zip(top, budgets))
                 for c in range(cap + 1):
-                    out.append(_walked_weight(
-                        aid, prefix + (c,), tuple(s + c * r for s, r in zip(spent, col)),
-                        (Q + c * (lin + c * diag), X + c * x)))
+                    out.append(_walked_weight(aid, prefix + (c,), spent,
+                                              (Q + c * (lin + c * diag), X + c * x)))
+                    spent = tuple(map(add, spent, col))
                 return
             row = gram[a]
             for c in range(cap + 1):
@@ -424,7 +425,8 @@ def _extremal(lvl: Level, nu: DominantWeight) -> Optional[bool]:
     extremal (nu(theta_i-coroot) > M_i(k) + chi_i for some i).  The comark
     values come from the weight, the floors of M_i(k) and M_i(k) + chi_i
     from the level."""
-    _label_algebra(lvl, nu)
+    if nu.algebra is not lvl.alg.id:
+        _label_algebra(lvl, nu)
     vals, (floors, margins) = nu._comark_values, lvl._floors
     if any(map(gt, vals, floors)):
         return None
@@ -460,7 +462,8 @@ def A_value(lvl: Level, nu: DominantWeight) -> Fraction:
     come from the weight (DominantWeight._A_ints), the k-dependent integers
     from the level (Level._A_consts), so one call is one Fraction.
     """
-    _label_algebra(lvl, nu)
+    if nu.algebra is not lvl.alg.id:
+        _label_algebra(lvl, nu)
     Q, X = nu._A_ints
     u, v, w, den = lvl._A_consts
     return Fraction(u * Q + X * (v * X - w), den)
@@ -735,7 +738,7 @@ def classify_w_modules(lvl: Level) -> tuple[WModuleRecord, ...]:
         extremal = is_extremal(lvl, nu)
         threshold = A_value(lvl, nu)
         ell = threshold if extremal else None
-        key = (extremal, nu.is_zero)
+        key = (extremal, not any(nu.coeffs))
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = unitarity_verdict(lvl, WModuleLabel(nu, threshold))

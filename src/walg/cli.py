@@ -191,21 +191,34 @@ def _modules_json(header: dict, records: list[str], ledger: list | None) -> str:
 
 def _w_record(rec: WModuleRecord, unitarity: str) -> str:
     """One W-module record in one step, as _dump writes it at its indent in
-    a modules document; unitarity is the verdict's JSON text."""
-    ell0 = "free" if rec.ell0 is None else rational_str(rec.ell0)
-    return (f'    {{\n      "nu_coeffs": {_column(map(str, rec.nu.coeffs))},\n'
-            f'      "ell0": "{ell0}",\n'
+    a modules document; unitarity is the verdict's JSON text.  ell0 reuses
+    A's text when it is the threshold object, as classify_w_modules pins it."""
+    n, d = rec.threshold.as_integer_ratio()
+    A = str(n) if d == 1 else f"{n}/{d}"
+    ell0 = ("free" if rec.ell0 is None else A if rec.ell0 is rec.threshold
+            else rational_str(rec.ell0))
+    coeffs = rec.nu.coeffs
+    return (_record_head(len(coeffs)) % coeffs + f'      "ell0": "{ell0}",\n'
             f'      "extremal": {"true" if rec.extremal else "false"},\n'
-            f'      "A": "{rational_str(rec.threshold)}",\n'
+            f'      "A": "{A}",\n'
             f'      "unitarity": {unitarity}\n    }}')
 
 
 def _affine_record(rec: AffineModuleRecord) -> str:
     """One affine-module record in one step, as _w_record writes a W one."""
     h = '"free"' if rec.h_set is None else _column(f'"{rational_str(h)}"' for h in rec.h_set)
-    return (f'    {{\n      "nu_coeffs": {_column(map(str, rec.nu.coeffs))},\n'
-            f'      "extremal": {"true" if rec.extremal else "false"},\n'
+    coeffs = rec.nu.coeffs
+    return (_record_head(len(coeffs)) % coeffs
+            + f'      "extremal": {"true" if rec.extremal else "false"},\n'
             f'      "h": {h}\n    }}')
+
+
+# a record's opening through its "nu_coeffs" list, one %d per coefficient:
+# formed once per rank, since a modules document writes one record per
+# weight of one algebra
+@functools.lru_cache(maxsize=16)
+def _record_head(rank: int) -> str:
+    return '    {\n      "nu_coeffs": ' + _column(["%d"] * rank) + ",\n"
 
 
 def _column(items, indent: int = 6) -> str:

@@ -144,10 +144,13 @@ def test_enumerate_requires_range():
         count_Pk(level("psl2-2", F(-3, 2)))
 
 
-@pytest.mark.parametrize("enumerate_", [
+ENUMERATIONS = pytest.mark.parametrize("enumerate_", [
     enumerate_Pk, classify_w_modules, classify_affine_modules, cross_identity_report,
     ledger.run_level_ledger,
 ], ids=lambda f: f.__name__)
+
+
+@ENUMERATIONS
 def test_every_enumeration_refuses_an_oversized_cone_at_once(monkeypatch, enumerate_):
     def walked(*args):  # a guard that let the cone through fails here, not in 21 M weights
         raise AssertionError("the oversized cone was walked")
@@ -159,6 +162,22 @@ def test_every_enumeration_refuses_an_oversized_cone_at_once(monkeypatch, enumer
                                          "21312720 weights, more than the 100000 "):
         enumerate_(lvl)
     assert time.perf_counter() - start < 1.0
+
+
+@ENUMERATIONS
+def test_every_enumeration_builds_its_weights_in_walked_weight(monkeypatch, enumerate_):
+    """The positive control of the test above: each enumeration builds each
+    weight of a level's cone through classify._walked_weight, once, so a
+    walk that stopped calling it would not pass that test unseen."""
+    built = []
+
+    def walked(aid, coeffs, *facts, _true=classify._walked_weight):
+        built.append(coeffs)
+        return _true(aid, coeffs, *facts)
+
+    monkeypatch.setattr(classify, "_walked_weight", walked)
+    enumerate_(level("spo2-3", -1))
+    assert built == [(0,), (1,), (2,)]
 
 
 def test_the_cone_bound_is_strict(monkeypatch):
@@ -1273,21 +1292,33 @@ def test_classification_calls_one_verdict_per_class(monkeypatch):
 
 # --- the cone walk's facts and the cone count, against the slow paths ------
 
+def _assert_walk_matches_the_slow_paths(lvl):
+    """count_Pk is the cone size, and each weight of the walk, built with
+    its facts in place, equals the public DominantWeight(aid, coeffs) and
+    its facts computed on first use."""
+    cone = enumerate_Pk(lvl)
+    assert count_Pk(lvl) == len(cone), (lvl.name, lvl.k)
+    for nu in cone:
+        assert {"_comark_values", "_A_ints"} <= vars(nu).keys()
+        ref = DominantWeight(lvl.alg.id, nu.coeffs)
+        assert not {"_comark_values", "_A_ints"} & vars(ref).keys()
+        assert nu == ref and hash(nu) == hash(ref)
+        assert nu._comark_values == ref._comark_values, (lvl.name, lvl.k, nu.coeffs)
+        assert nu._A_ints == ref._A_ints, (lvl.name, lvl.k, nu.coeffs)
+
+
 def test_walk_and_count_match_the_slow_paths_on_the_selfcheck_grid():
-    """At every level of the selfcheck --all grid, count_Pk is the cone
-    size, and each weight of the walk, built with its facts in place,
-    equals the public DominantWeight(aid, coeffs) and its facts computed
-    on first use."""
     for lvl in cli._selfcheck_levels(True):
-        cone = enumerate_Pk(lvl)
-        assert count_Pk(lvl) == len(cone), (lvl.name, lvl.k)
-        for nu in cone:
-            assert {"_comark_values", "_A_ints"} <= vars(nu).keys()
-            ref = DominantWeight(lvl.alg.id, nu.coeffs)
-            assert not {"_comark_values", "_A_ints"} & vars(ref).keys()
-            assert nu == ref and hash(nu) == hash(ref)
-            assert nu._comark_values == ref._comark_values, (lvl.name, lvl.k, nu.coeffs)
-            assert nu._A_ints == ref._A_ints, (lvl.name, lvl.k, nu.coeffs)
+        _assert_walk_matches_the_slow_paths(lvl)
+
+
+@pytest.mark.parametrize("name,k", DEEP_LEVELS)
+def test_walk_and_count_match_the_slow_paths_at_deep_levels(name, k):
+    """The walk's facts at the deep levels of the modules benchmark, which
+    the selfcheck grid does not reach: rank 8 (spo2-16) and long runs of
+    the last coefficient (f4, 6,391 weights), along which the walk steps
+    each weight's comark values from the one before."""
+    _assert_walk_matches_the_slow_paths(level(name, k))
 
 
 ENUMERATION_LIMIT = 20_000

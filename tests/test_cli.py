@@ -563,6 +563,33 @@ def test_modules_lists_what_the_classifier_returns(monkeypatch, extra, kind):
                      **expected}
 
 
+@pytest.mark.parametrize("name,k", [("spo2-3", "-1"), ("f4", "-82/3")])
+def test_a_negated_is_extremal_flips_every_record(monkeypatch, name, k):
+    """classify_w_modules, and so walg modules --json, takes each record's
+    extremal, and with it ell0, from one classify.is_extremal call per
+    weight: negating that global flips both in every record, as a shifted
+    classify.A_value shifts every A (see
+    test_selfcheck_text_names_each_failing_check)."""
+    argv = ["modules", name, "--k", k, "--json"]
+    records = classify.classify_w_modules(classify.level(name, k))
+    document = run_json(argv)["modules"]
+    assert {rec.extremal for rec in records} == {True, False}
+    true_is_extremal = classify.is_extremal
+    monkeypatch.setattr(classify, "is_extremal", lambda lvl, nu: not true_is_extremal(lvl, nu))
+    flipped = classify.classify_w_modules(classify.level(name, k))
+    assert len(flipped) == len(records)
+    for rec, new in zip(records, flipped):
+        assert (new.nu, new.threshold) == (rec.nu, rec.threshold)
+        assert new.extremal is not rec.extremal
+        assert new.ell0 == (None if rec.extremal else rec.threshold)
+    written = run_json(argv)["modules"]
+    assert len(written) == len(document)
+    for rec, new in zip(document, written):
+        assert (new["nu_coeffs"], new["A"]) == (rec["nu_coeffs"], rec["A"])
+        assert new["extremal"] is not rec["extremal"]
+        assert new["ell0"] == ("free" if rec["extremal"] else rec["A"])
+
+
 def test_help_is_returned_not_printed(capsys):
     for argv in (["--help"], ["unitary", "--help"], ["modules", "-h"]):
         code, text = run_command(argv)

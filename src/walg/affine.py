@@ -17,12 +17,11 @@ base containing eta_i = delta - theta_i for every summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import AlgebraData, IsotropyError, Weight, pair, weight_json
 from .report import Report
-from .scalars import rational
+from .scalars import Frozen, rational, set_field
 
 __all__ = [
     "AffineWeight",
@@ -43,20 +42,16 @@ class ReflectionError(ValueError):
     """Odd reflection requested at a root that is not odd isotropic in the base."""
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(Frozen):
     """finite + c_lambda0 * Lambda_0 + c_delta * delta, all exact.  The
     finite parts refuse to mix two algebras (AlgebraMismatchError)."""
 
-    finite: Weight
-    c_lambda0: Fraction = Fraction(0)
-    c_delta: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if type(self.c_lambda0) is not Fraction:
-            object.__setattr__(self, "c_lambda0", rational(self.c_lambda0))
-        if type(self.c_delta) is not Fraction:
-            object.__setattr__(self, "c_delta", rational(self.c_delta))
+    def __init__(self, finite: Weight, c_lambda0: Fraction = Fraction(0),
+                 c_delta: Fraction = Fraction(0)):
+        set_field(self, "finite", finite)
+        set_field(self, "c_lambda0",
+                  c_lambda0 if type(c_lambda0) is Fraction else rational(c_lambda0))
+        set_field(self, "c_delta", c_delta if type(c_delta) is Fraction else rational(c_delta))
 
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         return AffineWeight(self.finite + other.finite,
@@ -84,21 +79,19 @@ def affine_pair(a: AffineWeight, b: AffineWeight) -> Fraction:
     return pair(a.finite, b.finite) + a.c_lambda0 * b.c_delta + a.c_delta * b.c_lambda0
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(Frozen):
     """A real or imaginary-shifted root: finite part plus an integer multiple
     of delta (no Lambda_0 component)."""
 
-    weight: AffineWeight
-    parity: str
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.weight.c_lambda0 != 0:
+    def __init__(self, weight: AffineWeight, parity: str):
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        if weight.c_lambda0 != 0:
             raise ValueError("affine roots carry no Lambda_0 component")
-        if self.weight.c_delta.denominator != 1:
+        if weight.c_delta.denominator != 1:
             raise ValueError("affine roots carry an integer multiple of delta")
+        set_field(self, "weight", weight)
+        set_field(self, "parity", parity)
 
     @property
     def is_odd(self) -> bool:

@@ -19,7 +19,6 @@ line; an AlgebraId finds its row once, on construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -28,7 +27,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import rootdata
 from .report import Report
-from .scalars import Matrix, Vector, rational, rational_str, solve_linear, vector
+from .scalars import (Frozen, Matrix, Vector, rational, rational_str, set_field,
+                      solve_linear, vector)
 
 __all__ = [
     "FamilySpec",
@@ -268,34 +268,26 @@ _NAME_PATTERNS = tuple((re.compile(re.escape(spec.family) + "-([0-9]+)" * spec.p
                         spec.family) for spec in FAMILY_TABLE)
 
 
-@dataclass(frozen=True)
-class AlgebraId:
+class AlgebraId(Frozen):
     """One admissible family instance.
 
     family is one of ``psl2-2``, ``spo2`` (with m >= 3, m != 4), ``d21``
     (with coprime m, n >= 1, so the deformation parameter m/n avoids the
     degenerate values 0 and -1), ``f4``, ``g3``.  spec is its FAMILY_TABLE
-    row and dim its number of ambient coordinates.
+    row and dim its number of ambient coordinates; neither is compared.
     """
 
-    family: str
-    m: int = 0
-    n: int = 0
-    spec: FamilySpec = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, family: str, m: int = 0, n: int = 0):
         spec = next((row for row in FAMILY_TABLE
-                     if row.family == self.family and row.m in (None, self.m)), None)
+                     if row.family == family and row.m in (None, m)), None)
         if spec is None:
-            raise InvalidAlgebraError(f"unknown algebra family {self.family!r}")
+            raise InvalidAlgebraError(f"unknown algebra family {family!r}")
+        attrs = vars(self)
+        attrs.update(family=family, m=m, n=n)
         spec.check(self)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", sum(spec.dims(self.m, self.n)))
         # every cache lookup and every weight's hash hashes the id: the
-        # generated hash of the compared fields, computed once
-        object.__setattr__(self, "_hash", hash((self.family, self.m, self.n)))
+        # hash of the compared fields, computed once
+        attrs.update(spec=spec, dim=sum(spec.dims(m, n)), _hash=hash((family, m, n)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -332,22 +324,17 @@ class AlgebraId:
         return self.name
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """A finite weight in the ambient coordinates of one algebra."""
 
-    algebra: AlgebraId
-    coords: Vector
-
-    def __post_init__(self):
-        coords = self.coords
+    def __init__(self, algebra: AlgebraId, coords: Vector):
         if not (type(coords) is tuple and all(type(c) is Fraction for c in coords)):
             coords = vector(coords)
-            object.__setattr__(self, "coords", coords)
-        if len(coords) != self.algebra.dim:
+        if len(coords) != algebra.dim:
             raise AlgebraMismatchError(
-                f"{self.algebra} weights have {self.algebra.dim} "
-                f"coordinates, got {len(coords)}")
+                f"{algebra} weights have {algebra.dim} coordinates, got {len(coords)}")
+        set_field(self, "algebra", algebra)
+        set_field(self, "coords", coords)
 
     def _check(self, other: "Weight"):
         if self.algebra != other.algebra:
@@ -372,41 +359,34 @@ class Weight:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class Root:
-    weight: Weight
-    parity: str  # "even" | "odd"
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+class Root(Frozen):
+    def __init__(self, weight: Weight, parity: str):  # parity "even" | "odd"
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        set_field(self, "weight", weight)
+        set_field(self, "parity", parity)
 
     @property
     def is_odd(self) -> bool:
         return self.parity == "odd"
 
 
-@dataclass(frozen=True)
-class AlgebraData:
+class AlgebraData(Frozen):
     """Complete static description of one family instance (immutable)."""
 
-    id: AlgebraId
-    coord_names: tuple[str, ...]
-    gram: Matrix
-    simple_roots: tuple[Root, ...]
-    positive_roots: tuple[Root, ...]
-    theta: Weight
-    theta_i: tuple[Weight, ...]
-    xi: Weight
-    rho: Weight
-    rho_nat: Weight
-    h_check: Fraction
-    chi: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]  # 2/(theta_i|theta_i): M_i(k) = slope_i k + chi_i
-    gamma1: tuple[Weight, ...]
-    gamma2: tuple[Weight, ...]
-    natural_simple: tuple[Root, ...]
-    natural_fundamental: tuple[Weight, ...]
+    def __init__(self, id: AlgebraId, coord_names: tuple[str, ...], gram: Matrix,
+                 simple_roots: tuple[Root, ...], positive_roots: tuple[Root, ...],
+                 theta: Weight, theta_i: tuple[Weight, ...], xi: Weight, rho: Weight,
+                 rho_nat: Weight, h_check: Fraction, chi: tuple[Fraction, ...],
+                 slopes: tuple[Fraction, ...],  # 2/(theta_i|theta_i): M_i(k) = slope_i k + chi_i
+                 gamma1: tuple[Weight, ...], gamma2: tuple[Weight, ...],
+                 natural_simple: tuple[Root, ...], natural_fundamental: tuple[Weight, ...]):
+        vars(self).update(
+            id=id, coord_names=coord_names, gram=gram, simple_roots=simple_roots,
+            positive_roots=positive_roots, theta=theta, theta_i=theta_i, xi=xi, rho=rho,
+            rho_nat=rho_nat, h_check=h_check, chi=chi, slopes=slopes, gamma1=gamma1,
+            gamma2=gamma2, natural_simple=natural_simple,
+            natural_fundamental=natural_fundamental)
 
     @property
     def summands(self) -> int:

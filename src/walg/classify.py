@@ -22,7 +22,6 @@ polynomial identity valid verbatim over any field extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -33,7 +32,7 @@ from .affine import AffineWeight, affine_pair
 from .catalog import (AlgebraData, AlgebraId, AlgebraMismatchError, Weight,
                       _weight_sum, build_algebra, coroot_pair, pair)
 from .report import Report
-from .scalars import rational, rational_str
+from .scalars import Frozen, rational, rational_str, set_field
 
 __all__ = [
     "Level",
@@ -83,8 +82,7 @@ class RangeError(ValueError):
     """A precondition on the unitarity range or the dominant cone failed."""
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Frozen):
     """One level k of one algebra.
 
     Construction sets the facts of k = p/q on integers, as plain attributes:
@@ -94,19 +92,16 @@ class Level:
     are computed on first use and kept on the instance.
     """
 
-    alg: AlgebraData
-    k: Fraction
-
-    def __post_init__(self):
-        k = rational(self.k)
-        if k == -self.alg.h_check:
+    def __init__(self, alg: AlgebraData, k: Fraction):
+        k = rational(k)
+        if k == -alg.h_check:
             raise CriticalLevelError(
-                f"critical level k = {rational_str(k)} for {self.alg.id.name}")
-        aid = self.alg.id
+                f"critical level k = {rational_str(k)} for {alg.id.name}")
+        aid = alg.id
         step, n0 = aid.spec.progression(aid.m, aid.n)
         (p, q), (a, b) = k.as_integer_ratio(), step.as_integer_ratio()
         M, margins = [], []
-        for slope, chi in zip(self.alg.slopes, self.alg.chi):
+        for slope, chi in zip(alg.slopes, alg.chi):
             # M_i(k) = slope_i k + chi_i = (s e p + c t q) / (t e q) for
             # slope_i = s/t and chi_i = c/e, and M_i(k) + chi_i adds c t q
             (s, t), (c, e) = slope.as_integer_ratio(), chi.as_integer_ratio()
@@ -117,7 +112,7 @@ class Level:
         # q a divides -p b and -p b >= n0 q a.  An integer exceeds a
         # rational exactly when it exceeds the rational's floor.
         vars(self).update(
-            k=k, in_range=-p * b % (q * a) == 0 and -p * b >= n0 * q * a,
+            alg=alg, k=k, in_range=-p * b % (q * a) == 0 and -p * b >= n0 * q * a,
             _M_ratios=tuple(M), _margin_ratios=tuple(margins),
             _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)))
 
@@ -238,25 +233,21 @@ def table_M(lvl: Level) -> tuple[Fraction, ...]:
     return tuple(s * lvl.k + c for s, c in zip(slopes, aid.spec.chi))
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(Frozen):
     """Nonnegative integer coefficients over the natural fundamental weights."""
 
-    algebra: AlgebraId
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, algebra: AlgebraId, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         if any(type(c) is not int for c in coeffs):
             raise TypeError(f"dominant weight coefficients must be ints, got {coeffs!r}")
-        object.__setattr__(self, "coeffs", coeffs)
-        rank = self.algebra.rank_natural
+        rank = algebra.rank_natural
         if len(coeffs) != rank:
             raise RangeError(
-                f"{self.algebra.name} dominant weights take {rank} "
+                f"{algebra.name} dominant weights take {rank} "
                 f"coefficients, got {len(coeffs)}")
         if any(c < 0 for c in coeffs):
             raise RangeError("dominant weight coefficients must be nonnegative")
+        vars(self).update(algebra=algebra, coeffs=coeffs)
 
     def weight(self) -> Weight:
         """sum_a c_a omega_a in ambient coordinates, computed once per instance."""
@@ -577,35 +568,29 @@ def extremal_h_set(lvl: Level, nu: DominantWeight) -> tuple[Fraction, ...]:
     return (x, mirror) if r > q * X else (mirror, x)
 
 
-@dataclass(frozen=True)
-class AffineModuleLabel:
-    nu: DominantWeight
-    h: Fraction
-
-    def __post_init__(self):
-        if type(self.h) is not Fraction:
-            object.__setattr__(self, "h", rational(self.h))
+class AffineModuleLabel(Frozen):
+    def __init__(self, nu: DominantWeight, h: Fraction):
+        set_field(self, "nu", nu)
+        set_field(self, "h", h if type(h) is Fraction else rational(h))
 
 
-@dataclass(frozen=True)
-class WModuleLabel:
+class WModuleLabel(Frozen):
     """ell0 = None marks the symbolic free parameter (JSON: "free");
     only meaningful for non-extremal nu."""
 
-    nu: DominantWeight
-    ell0: Optional[Fraction]
-
-    def __post_init__(self):
-        if self.ell0 is not None and type(self.ell0) is not Fraction:
-            object.__setattr__(self, "ell0", rational(self.ell0))
+    def __init__(self, nu: DominantWeight, ell0: Optional[Fraction]):
+        set_field(self, "nu", nu)
+        set_field(self, "ell0", ell0 if ell0 is None or type(ell0) is Fraction else rational(ell0))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Three-valued unitarity outcome."""
 
-    status: str  # "unitary" | "not_unitary" | "open"
-    reason: Optional[str] = None  # violated condition: "1a" | "1b" | "1c"
+    # status: "unitary" | "not_unitary" | "open"; reason, the violated
+    # condition: "1a" | "1b" | "1c"
+    def __init__(self, status: str, reason: Optional[str] = None):
+        set_field(self, "status", status)
+        set_field(self, "reason", reason)
 
     def __str__(self) -> str:
         if self.status == "not_unitary":

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import rational_str
+from .scalars import Frozen, rational_str, set_field
 
 __all__ = ["CheckEntry", "Report", "render_value"]
 
@@ -25,15 +24,16 @@ def render_value(value) -> str:
     raise TypeError(f"a check value is never a {kind.__name__}")
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    check_id: str
-    algebra: str
-    k: str
-    formula: str
-    expected: str
-    computed: str
-    passed: bool
+class CheckEntry(Frozen):
+    def __init__(self, check_id: str, algebra: str, k: str, formula: str, expected: str,
+                 computed: str, passed: bool):
+        set_field(self, "check_id", check_id)
+        set_field(self, "algebra", algebra)
+        set_field(self, "k", k)
+        set_field(self, "formula", formula)
+        set_field(self, "expected", expected)
+        set_field(self, "computed", computed)
+        set_field(self, "passed", passed)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

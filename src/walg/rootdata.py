@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from importlib import resources
 
 from .scalars import Vector
 
@@ -33,6 +32,11 @@ _TERM = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?([ed])\((\w)\)")
 _RANGE_PAIR = re.compile(r"^for 1<=i<j<=(\w+)$")
 _RANGE_SINGLE = re.compile(r"^for 1<=i<=(\w+)$")
 _DIGITS = re.compile(r"[0-9]+")
+
+
+# the embedded data files, installed next to this module (importlib.resources
+# would cost 30-80 ms of imports, inspect's among them on Python 3.12 and 3.13)
+_EMBEDDED = os.path.join(os.path.dirname(__file__), "data")
 
 
 class RootDataError(ValueError):
@@ -49,9 +53,9 @@ def _read_text(family: str) -> str:
                     return fh.read()
             except OSError as exc:
                 raise RootDataError(f"cannot read root data override {path}: {exc}") from exc
-    ref = resources.files(__package__).joinpath("data").joinpath(f"{family}.roots")
     try:
-        return ref.read_text(encoding="utf-8")
+        with open(os.path.join(_EMBEDDED, f"{family}.roots"), "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise RootDataError(f"no embedded root data for family {family!r}") from exc
 

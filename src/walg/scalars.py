@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -26,6 +27,8 @@ __all__ = [
     "rational_str",
     "vector",
     "solve_linear",
+    "Frozen",
+    "FrozenInstanceError",
 ]
 
 
@@ -39,6 +42,52 @@ class SingularMatrixError(ValueError):
     def __init__(self, rank: int):
         super().__init__(f"singular matrix (rank {rank})")
         self.rank = rank
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a Frozen value."""
+
+
+# how the __init__ of a Frozen value sets its fields
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of walg's immutable value classes.
+
+    A subclass's fields are the two or more parameters of its own
+    ``__init__``, which validates them and sets them with set_field or
+    through ``vars(self)``.  Instances keep a ``__dict__``, so
+    ``cached_property`` works on them.  Two values are equal when they are
+    of the same class and their fields are equal as a tuple; any other
+    operand gets NotImplemented.  A value hashes as that tuple and reprs as
+    ``Name(field=value, ...)``.  Assigning or deleting any attribute raises
+    FrozenInstanceError.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ASCII digits only: Fraction() alone would also read "1_0" and "٣"

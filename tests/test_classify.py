@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import sys
 import time
@@ -594,7 +593,8 @@ def mutated_algebras(monkeypatch, field, shift):
 
     def mutated(aid):
         alg = true_build(aid)
-        return dataclasses.replace(alg, **{field: getattr(alg, field) + shift(alg)})
+        fields = {name: getattr(alg, name) for name in alg._fields}
+        return catalog.AlgebraData(**{**fields, field: getattr(alg, field) + shift(alg)})
 
     for name, module in list(sys.modules.items()):
         if (name == "walg" or name.startswith("walg.")) and \

@@ -23,7 +23,7 @@ polynomial identity valid verbatim over any field extension.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from operator import add, gt, le, mul
 from typing import Iterable, NamedTuple, Optional
@@ -32,7 +32,7 @@ from .affine import AffineWeight, affine_pair
 from .catalog import (AlgebraData, AlgebraId, AlgebraMismatchError, Weight,
                       _weight_sum, build_algebra, coroot_pair, pair)
 from .report import Report
-from .scalars import Frozen, rational, rational_str, set_field
+from .scalars import Frozen, fact, rational, rational_str, set_field
 
 __all__ = [
     "Level",
@@ -86,10 +86,11 @@ class Level(Frozen):
     """One level k of one algebra.
 
     Construction sets the facts of k = p/q on integers, as plain attributes:
-    in_range, and per summand the (numerator, denominator > 0) of M_i(k)
-    (_M_ratios) and of M_i(k) + chi_i (_margin_ratios), and the floors of
-    both (_floors).  The truncated cone and the k constants of A and ell0
-    are computed on first use and kept on the instance.
+    in_range, per summand the (numerator, denominator > 0) of M_i(k)
+    (_M_ratios) and of M_i(k) + chi_i (_margin_ratios), the floors of both
+    (_floors), and whether all of each are nonnegative integers (_M_natural,
+    _margins_natural).  The cone and the k constants of A and ell0 are
+    computed on first use and kept on the instance.
     """
 
     def __init__(self, alg: AlgebraData, k: Fraction):
@@ -114,7 +115,9 @@ class Level(Frozen):
         vars(self).update(
             alg=alg, k=k, in_range=-p * b % (q * a) == 0 and -p * b >= n0 * q * a,
             _M_ratios=tuple(M), _margin_ratios=tuple(margins),
-            _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)))
+            _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)),
+            _M_natural=all(n >= 0 and n % d == 0 for n, d in M),
+            _margins_natural=all(n >= 0 and n % d == 0 for n, d in margins))
 
     @property
     def name(self) -> str:
@@ -125,7 +128,7 @@ class Level(Frozen):
         """Affine levels M_i(k) = 2k/(theta_i|theta_i) + chi_i."""
         return tuple(Fraction(n, d) for n, d in self._M_ratios)
 
-    @cached_property
+    @fact
     def _A_consts(self) -> tuple[int, int, int, int]:
         # A = (u Q + X (v X - w)) / den for the integers Q and X of a weight
         # (see A_value): with k = p/q and h_check = a/b, u = q b D, v = 2 q b,
@@ -134,7 +137,7 @@ class Level(Frozen):
         (p, q), (a, b) = self.k.as_integer_ratio(), self.alg.h_check.as_integer_ratio()
         return q * b * D, 2 * q * b, 2 * b * D * (p + q), 2 * D * D * (p * b + a * q)
 
-    @cached_property
+    @fact
     def _ell0_consts(self) -> tuple[int, int, int, int]:
         # ell0 = (c0 + c1 h + c2 h^2) / den (see _ell0_coeffs) with c0 = qb P
         # and c1 = 2 qb T + c for the integers P and T of a weight: with
@@ -145,7 +148,7 @@ class Level(Frozen):
         qb, den = q * b, 2 * amb.E * (p * b + a * q)
         return qb, qb * amb.theta_two_rho - den, qb * amb.theta_theta, den
 
-    @cached_property
+    @fact
     def cone(self) -> tuple[DominantWeight, ...]:
         """The truncated cone P_k, in lexicographic coefficient order.
 
@@ -253,7 +256,7 @@ class DominantWeight(Frozen):
         """sum_a c_a omega_a in ambient coordinates, computed once per instance."""
         return self._weight
 
-    @cached_property
+    @fact
     def _weight(self) -> Weight:
         alg = build_algebra(self.algebra)
         return _weight_sum(alg.id, zip(self.coeffs, alg.natural_fundamental))
@@ -261,11 +264,11 @@ class DominantWeight(Frozen):
     # The integers of the basis path: computed on first use from _Basis and
     # kept on the instance; none depends on k.
 
-    @cached_property
+    @fact
     def _comark_values(self) -> tuple[int, ...]:  # nu(theta_i-coroot) per summand
         return tuple(_dot(self.coeffs, row) for row in _basis(self.algebra).comarks)
 
-    @cached_property
+    @fact
     def _A_ints(self) -> tuple[int, int]:  # D (nu|nu + 2 rho_nat), D (xi|nu)
         basis, c = _basis(self.algebra), self.coeffs
         Q = sum(ca * (r + _dot(row, c)) for ca, r, row in zip(c, basis.two_rho, basis.gram) if ca)
@@ -275,21 +278,21 @@ class DominantWeight(Frozen):
     # integers of _Ambient: L w, then E times each pairing.  Each is computed
     # on first use and kept on the instance; none depends on k.
 
-    @cached_property
+    @fact
     def _scaled(self) -> tuple[int, ...]:  # L w
         return tuple(_dot(self.coeffs, col) for col in _ambient_constants(self.algebra).omega)
 
-    @cached_property
+    @fact
     def _norm(self) -> int:  # E (w|w + 2 rho)
         c = _ambient_constants(self.algebra)  # L w . (G' L w + G' L 2 rho)
         g_w = (_dot(self.coeffs, col) + r for col, r in zip(c.g_omega, c.g_two_rho))
         return _dot(self._scaled, g_w)
 
-    @cached_property
+    @fact
     def _theta(self) -> int:  # E (theta|w)
         return _dot(self._scaled, _ambient_constants(self.algebra).g_theta)
 
-    @cached_property
+    @fact
     def _theta_i(self) -> tuple[int, ...]:  # E (w|theta_i) per summand
         return tuple(_dot(self._scaled, t) for t in _ambient_constants(self.algebra).g_theta_i)
 
@@ -663,8 +666,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     range asserts), and extremal labels at the threshold are settled only for
     psl2-2, spo2-3, and spo2-m at k = -1 (the row's proven_at_threshold);
     the rest stay open.  Condition 1a and the sufficient margin test read
-    the level alone; 1b, extremality and A read the weight's comark values
-    and threshold integers (see _extremal and A_value).
+    flags of the level (Level._M_natural, _margins_natural); 1b, extremality
+    and A read the weight's comark values and threshold integers.
 
     At ell0 = A(k, nu) inside the truncated cone, 1b and 1c cannot fire and
     A(k, 0) = 0, so the weight enters only through its extremality and
@@ -674,7 +677,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
     _require_range(lvl)
-    if not all(n >= 0 and n % d == 0 for n, d in lvl._M_ratios):
+    if not lvl._M_natural:
         return not_unitary("1a")
     extremal = _extremal(lvl, label.nu)
     if extremal is None:
@@ -685,8 +688,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        margins_natural = all(n >= 0 and n % d == 0 for n, d in lvl._margin_ratios)
-        return UNITARY if margins_natural else OPEN
+        return UNITARY if lvl._margins_natural else OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 

@@ -36,6 +36,10 @@ CONE_PAIRS = ((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))
 QUERY_LEVELS = 1024
 
 _RATIONAL_FLAGS = ("--k", "--h", "--ell0")
+# a --nu text: integers, each with whitespace around it as str.strip removes
+# it, separated by commas; ASCII digits only, since int() alone would also
+# read "1_0" and "٣"
+_NU_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*")
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -136,11 +140,10 @@ def _build_parser() -> _Parser:
 
 
 def _parse_nu(alg, text: str) -> DominantWeight:
-    parts = [part.strip() for part in text.split(",")]
-    # int() alone would also read "1_0" and "٣"
-    if not all(map(_INTEGER_TEXT.fullmatch, parts)):
+    if not _NU_TEXT.fullmatch(text):
         raise ValueError(f"--nu expects comma-separated integers, got {text!r}")
-    return DominantWeight(alg.id, tuple(map(int, parts)))
+    # int() would refuse some of the whitespace that str.strip removes
+    return DominantWeight(alg.id, tuple(map(int, _INTEGER_TEXT.findall(text))))
 
 
 def _dump(payload) -> str:
@@ -257,15 +260,16 @@ def _cmd_info(args) -> tuple[int, str]:
 
 
 @functools.lru_cache(maxsize=QUERY_LEVELS)
-def _query_level(algebra: str, k: str) -> Level:
-    """level(algebra, k) for the argv texts of a point query; holds no cone."""
-    return level(algebra, k)
+def _query_level(algebra: str, k: str) -> tuple[Level, str]:
+    """level(algebra, k) for a point query's argv texts, with _query_head."""
+    lvl = level(algebra, k)
+    return lvl, _query_head(lvl)
 
 
 def _cmd_range(args) -> tuple[int, str]:
-    lvl = _query_level(args.algebra, args.k)
+    lvl, head = _query_level(args.algebra, args.k)
     M = _column((f'"{rational_str(m)}"' for m in level_M(lvl)), 2)
-    return 0, (f'{_query_head(lvl)}  "in_range": {_WORDS(in_unitarity_range(lvl))},\n'
+    return 0, (f'{head}  "in_range": {_WORDS(in_unitarity_range(lvl))},\n'
                f'  "M": {M}\n}}\n')
 
 
@@ -311,7 +315,7 @@ def _cmd_modules(args) -> tuple[int, str]:
 
 
 def _cmd_unitary(args) -> tuple[int, str]:
-    lvl = _query_level(args.algebra, args.k)
+    lvl, head = _query_level(args.algebra, args.k)
     nu = _parse_nu(lvl.alg, args.nu)
     label = WModuleLabel(nu, rational(args.ell0))
     verdict = unitarity_verdict(lvl, label)
@@ -319,20 +323,20 @@ def _cmd_unitary(args) -> tuple[int, str]:
         extremal = is_extremal(lvl, nu)
     except RangeError:  # outside the truncated cone
         extremal = None
-    return 0, (f'{_query_head(lvl)}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
+    return 0, (f'{head}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
                f'  "ell0": "{rational_str(label.ell0)}",\n  "extremal": {_WORDS(extremal)},\n'
                f'  "A": "{rational_str(A_value(lvl, nu))}",\n  "verdict": "{verdict}"\n}}\n')
 
 
 def _cmd_reduce(args) -> tuple[int, str]:
-    lvl = _query_level(args.algebra, args.k)
+    lvl, head = _query_level(args.algebra, args.k)
     nu = _parse_nu(lvl.alg, args.nu)
     label = AffineModuleLabel(nu, rational(args.h))
     reduced = hamiltonian_reduce(lvl, label)
     result = '"zero"' if reduced is None else (
         f'{{\n    "nu_coeffs": {_column(map(str, reduced.nu.coeffs), 4)},\n'
         f'    "ell0": "{rational_str(reduced.ell0)}"\n  }}')
-    return 0, (f'{_query_head(lvl)}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
+    return 0, (f'{head}  "nu": {_column(map(str, nu.coeffs), 2)},\n'
                f'  "h": "{rational_str(label.h)}",\n  "result": {result}\n}}\n')
 
 
@@ -426,8 +430,10 @@ def _read_point_query(argv: list[str]) -> argparse.Namespace | None:
     if (values.keys() != flags or argv[1].startswith("-")
             or values.get("--nu", "").startswith("-") or not _NOT_READ.isdisjoint(argv)):
         return None
-    return argparse.Namespace(algebra=argv[1], handler=handler,
-                              **{flag[2:]: value for flag, value in values.items()})
+    # one update, where Namespace(**fields) would set each field by setattr
+    args = argparse.Namespace()
+    vars(args).update({f[2:]: v for f, v in values.items()}, algebra=argv[1], handler=handler)
+    return args
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:

@@ -57,10 +57,10 @@ class Frozen:
 
     A subclass's fields are the two or more parameters of its own
     ``__init__``, which validates them and sets them with set_field or
-    through ``vars(self)``.  Instances keep a ``__dict__``, so
-    ``cached_property`` works on them.  Two values are equal when they are
-    of the same class and their fields are equal as a tuple; any other
-    operand gets NotImplemented.  A value hashes as that tuple and reprs as
+    through ``vars(self)``.  Instances keep a ``__dict__``, which holds
+    each ``fact`` read.  Two values are equal when they are of the same
+    class and their fields are equal as a tuple; any other operand gets
+    NotImplemented.  A value hashes as that tuple and reprs as
     ``Name(field=value, ...)``.  Assigning or deleting any attribute raises
     FrozenInstanceError.
     """
@@ -88,6 +88,24 @@ class Frozen:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class fact:
+    """A fact of a Frozen value: computed by the method on the first read and
+    kept in the instance's ``__dict__`` under its name, which later reads
+    find first.  As with the standard library's cached property on Python
+    3.12+, no lock is taken: racing threads may each compute the fact (a
+    pure one), and all of them read the value kept first."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 # ASCII digits only: Fraction() alone would also read "1_0" and "٣"

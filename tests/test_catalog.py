@@ -6,13 +6,14 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import walg
 from walg.affine import eta_membership_check
 from walg.catalog import (FAMILY_TABLE, AlgebraData, AlgebraId, AlgebraMismatchError,
                           InvalidAlgebraError, IsotropyError, Root, Weight,
-                          _in_natural_cone, _weight_sum, build_algebra, coroot_pair,
+                          _in_natural_cone, _solve_fundamental, _weight_sum,
+                          build_algebra, coroot_pair,
                           expected_chi, expected_h_check, pair,
                           selfcheck_algebra)
 from walg.scalars import solve_linear, vector
@@ -242,6 +243,33 @@ def test_fundamental_duality(name):
         assert pair(w, a.theta) == 0
         for j, s in enumerate(a.natural_simple):
             assert coroot_pair(w, s) == int(i == j)
+
+
+# an algebra of each FAMILY_TABLE row: spo2-m up to m = 64, d21-m-n with
+# coprime m, n < 12
+_ROW_NAMES = st.one_of(
+    st.sampled_from(["psl2-2", "spo2-3", "f4", "g3"]),
+    st.integers(5, 64).map("spo2-{}".format),
+    st.tuples(st.integers(1, 11), st.integers(1, 11)).filter(lambda mn: gcd(*mn) == 1)
+    .map(lambda mn: "d21-{}-{}".format(*mn)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ROW_NAMES)
+@example("spo2-64")
+def test_the_integer_inverse_matches_solve_linear(name):
+    """_solve_fundamental inverts the Cartan matrix on integers; the
+    fundamental weights equal those of the rational elimination of
+    solve_linear over [C | I], the form it replaced."""
+    natural_simple = alg(name).natural_simple
+    roots = [r.weight for r in natural_simple]
+    n = len(roots)
+    cartan = tuple(tuple(2 * pair(roots[b], roots[c]) / pair(roots[c], roots[c])
+                         for b in range(n)) for c in range(n))
+    rows = solve_linear(cartan, [[int(b == a) for b in range(n)] for a in range(n)])
+    expected = tuple(_weight_sum(roots[0].algebra, zip(row, roots)) for row in rows)
+    assert _solve_fundamental(natural_simple) == expected
+    assert alg(name).natural_fundamental == expected
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -614,11 +614,11 @@ def test_mutations_clear_the_query_memo(monkeypatch):
     argv = ["range", "spo2-3", "--k", "-1"]
     true_rho = catalog.build_algebra(AlgebraId.parse("spo2-3")).rho
     cli.run_command(argv)
-    assert cli._query_level("spo2-3", "-1").alg.rho == true_rho
+    assert cli._query_level("spo2-3", "-1")[0].alg.rho == true_rho
     with mutated_algebras(monkeypatch, "rho", lambda alg: F(1, 7) * alg.theta):
         assert cli._query_level.cache_info().currsize == 0
         cli.run_command(argv)
-        assert cli._query_level("spo2-3", "-1").alg.rho != true_rho
+        assert cli._query_level("spo2-3", "-1")[0].alg.rho != true_rho
     assert cli._query_level.cache_info().currsize == 0
     cli.run_command(argv)
     with mutated_basis(monkeypatch, "gram"):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -488,7 +489,8 @@ def test_the_level_memo_is_bounded():
 
 def test_memoized_levels_hold_no_cone():
     """No memoized Level keeps a cone, also after `modules` at the same
-    level, which builds its own Level and adds no entry."""
+    level, which builds its own Level and adds no entry.  Each entry holds
+    its Level and the head of that level's documents."""
     cli._query_level.cache_clear()
     queries = _memo_queries(4, 100) + [["range", "spo2-3", "--k", "-1"],
                                        ["range", "f4", "--k", "-2"]]
@@ -500,10 +502,10 @@ def test_memoized_levels_hold_no_cone():
     assert cli._query_level.cache_info().currsize == size
     for argv in queries:
         try:
-            lvl = cli._query_level(argv[1], argv[3])
+            lvl, head = cli._query_level(argv[1], argv[3])
         except ValueError:  # refused, so never memoized
             continue
-        assert "cone" not in vars(lvl), argv
+        assert "cone" not in vars(lvl) and head == cli._query_head(lvl), argv
     assert cli._query_level.cache_info().currsize == size
 
 
@@ -796,7 +798,7 @@ def test_the_point_query_reader_declines_or_answers_as_argparse(argv):
     if read is not None:
         parsed = cli._build_parser().commands[argv[0]].parse_args(
             cli._join_rational_values(argv)[1:])
-        assert vars(read) == vars(parsed)
+        assert vars(read) == vars(parsed) and read == parsed
         assert run_command(argv) == _through_argparse(argv)
 
 
@@ -816,6 +818,52 @@ def test_nu_parts_parse_as_int_reads_them():
     argv = ["unitary", "spo2-3", "--k", "-1", "--ell0", "1/2", "--nu"]
     assert run_command(argv + [" +2 "]) == run_command(argv + ["2"])
     assert run_command(argv + ["-1"])[0] == 2
+
+
+def _per_part_parse_nu(alg, text):
+    """The --nu reader as it was, one strip and one match per part: the
+    oracle of the one-pattern reader."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(map(re.compile(r"[+-]?[0-9]+").fullmatch, parts)):
+        raise ValueError(f"--nu expects comma-separated integers, got {text!r}")
+    return DominantWeight(alg.id, tuple(map(int, parts)))
+
+
+def _outcome(read, alg, text):
+    try:
+        return read(alg, text)
+    except ValueError as exc:  # RangeError too: a negative part or a wrong count
+        return type(exc), str(exc)
+
+
+# signs, digits, separators, str.strip's whitespace (also what int() refuses,
+# as U+001C) and what int() alone reads as digits
+NU_PIECES = ["0", "1", "7", "12", "-", "+", ",", " ", "\t", "\n", "\r", "\x0b", "\x1c",
+             "\u00a0", "\u2003", "\u3000", "_", "\u0663", "\uff11", "x", "/", "."]
+
+
+_NU_SPACE = st.lists(st.sampled_from(NU_PIECES[7:16]), max_size=2).map("".join)
+# comma-separated parts, each a sign and digits in whitespace, or any piece
+_NU_PARTS = st.lists(st.one_of(
+    st.tuples(_NU_SPACE, st.sampled_from(["", "+", "-"]), st.sampled_from(NU_PIECES[:4]),
+              _NU_SPACE).map("".join),
+    st.sampled_from(NU_PIECES)), min_size=1, max_size=4).map(",".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["psl2-2", "spo2-5", "d21-3-2"]),
+       st.one_of(_NU_PARTS, st.lists(st.sampled_from(NU_PIECES), max_size=10).map("".join)))
+@example("spo2-5", " 1 ,\x1c2\u3000")
+@example("spo2-5", "1,2,")
+@example("spo2-5", ",1,2")
+@example("spo2-5", "1,,2")
+@example("spo2-5", "1_0,2")
+@example("spo2-5", "+1,-2")
+@example("psl2-2", "1\n")
+@example("psl2-2", "")
+def test_the_nu_pattern_reads_as_the_per_part_reader(name, text):
+    alg = classify.build_algebra(AlgebraId.parse(name))
+    assert _outcome(cli._parse_nu, alg, text) == _outcome(_per_part_parse_nu, alg, text)
 
 
 def test_negative_fraction_flag_values_parse():

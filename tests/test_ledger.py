@@ -89,9 +89,21 @@ def test_d21_cone_grid():
             assert rep.all_pass
 
 
+def test_d21_cone_negative_fails_on_a_zero_first_coefficient(monkeypatch):
+    """The comparison is impossible only if the first coefficient is
+    negative: a solve that gave 0 there fails d21.cone-negative."""
+    true_solve = ledger.solve_linear
+    monkeypatch.setattr(ledger, "solve_linear", lambda a, b: (F(0), *true_solve(a, b)[1:]))
+    rep = check_d21_cone(2, 1, 1)
+    assert not entry(rep, "d21.cone-negative").passed
+    assert not entry(rep, "d21.cone-coefficients").passed
+
+
 def test_d21_cone_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m > n"):
         check_d21_cone(1, 2, 1)   # needs m > n
+    with pytest.raises(ValueError, match="m > n"):
+        check_d21_cone(1, 1, 1)   # m = n too, though 1 and 1 are coprime
     with pytest.raises(ValueError):
         check_d21_cone(4, 2, 1)   # coprimality
     with pytest.raises(ValueError):

@@ -9,10 +9,13 @@ under an interpreter that has none.
 """
 
 import copy
+import functools
 import hashlib
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from walg import (AffineModuleLabel, AffineRoot, AffineWeight, AlgebraData, AlgebraId,
                   CheckEntry, DominantWeight, Level, Root, Verdict, Weight, WModuleLabel,
                   build_algebra)
+from walg.scalars import FrozenInstanceError, fact
 
 ALGEBRA_DATA_FIELDS = (
     "id", "coord_names", "gram", "simple_roots", "positive_roots", "theta", "theta_i", "xi",
@@ -146,3 +150,105 @@ def test_import_walg_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# every fact of the value classes, by the class that holds it
+FACTS = {
+    AlgebraId: ("rank_natural",),
+    Level: ("_A_consts", "_ell0_consts", "cone"),
+    DominantWeight: ("_weight", "_comark_values", "_A_ints", "_scaled", "_norm", "_theta",
+                     "_theta_i"),
+}
+
+
+def fresh(cls):
+    """A new instance of a class of FACTS, with no fact read yet."""
+    aid = AlgebraId("spo2", 5)
+    if cls is AlgebraId:
+        return aid
+    if cls is Level:
+        return Level(build_algebra(aid), F(-3, 2))
+    return DominantWeight(aid, (1, 1))
+
+
+FACT_CASES = [(cls, name) for cls, names in FACTS.items() for name in names]
+FACT_IDS = [f"{cls.__name__}.{name}" for cls, name in FACT_CASES]
+
+
+def test_the_facts_are_the_only_cached_attributes():
+    classes = {type(row[0]) for row in VALUES}
+    found = {(cls, name) for cls in classes for name, attr in vars(cls).items()
+             if isinstance(attr, (fact, functools.cached_property))}
+    assert found == set(FACT_CASES)
+    assert all(isinstance(vars(cls)[name], fact) for cls, name in FACT_CASES)
+
+
+@pytest.mark.parametrize("cls,name", FACT_CASES, ids=FACT_IDS)
+def test_a_fact_is_computed_once_and_kept_on_the_instance(monkeypatch, cls, name):
+    descriptor = vars(cls)[name]
+    assert getattr(cls, name) is descriptor  # read on the class
+    assert descriptor.__doc__ == descriptor.func.__doc__
+    calls = []
+
+    def counted(obj, _true=descriptor.func):
+        calls.append(obj)
+        return _true(obj)
+
+    monkeypatch.setattr(descriptor, "func", counted)
+    value = fresh(cls)
+    assert name not in vars(value)
+    first = getattr(value, name)
+    assert calls == [value] and vars(value)[name] is first
+    assert getattr(value, name) is first and calls == [value]
+    assert first == getattr(fresh(cls), name)
+
+
+@pytest.mark.parametrize("cls,name", FACT_CASES, ids=FACT_IDS)
+def test_a_cached_fact_stays_frozen(cls, name):
+    value = fresh(cls)
+    known = getattr(value, name)
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+        setattr(value, name, None)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+        delattr(value, name)
+    assert vars(value)[name] is known
+
+
+@pytest.mark.parametrize("cls", FACTS, ids=[cls.__name__ for cls in FACTS])
+def test_values_with_cached_facts_round_trip(cls):
+    value = fresh(cls)
+    known = {name: getattr(value, name) for name in FACTS[cls]}
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(back) is cls and back == value and hash(back) == hash(value)
+        assert repr(back) == repr(value)
+        assert {name: getattr(back, name) for name in FACTS[cls]} == known
+
+
+@pytest.mark.parametrize("cls,name", FACT_CASES, ids=FACT_IDS)
+def test_threads_that_read_one_fact_get_equal_values(cls, name):
+    """No lock guards a first read: threads that race on it may each
+    compute the fact, and all of them read the one value kept."""
+    expected = getattr(fresh(cls), name)
+    workers, rounds = 8, 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            value, seen = fresh(cls), []
+            start = threading.Barrier(workers)
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(getattr(value, name))
+
+            threads = [threading.Thread(target=read) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(deadline - time.monotonic(), 0))
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [expected] * workers
+            assert all(read is vars(value)[name] for read in seen)
+    finally:
+        sys.setswitchinterval(interval)

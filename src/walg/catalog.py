@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import rootdata
 from .report import Report
-from .scalars import (Frozen, Matrix, SingularMatrixError, Vector, fact, rational,
-                      rational_str, set_field, vector)
+from .scalars import (Frozen, Matrix, Vector, fact, rational, rational_str, set_field,
+                      solve_linear, vector)
 
 __all__ = [
     "FamilySpec",
@@ -466,27 +466,15 @@ def _solve_fundamental(natural_simple: tuple[Root, ...]) -> tuple[Weight, ...]:
     Solves omega_a(alpha_b-coroot) = delta_ab with omega_a expanded over the
     natural simple roots, in one elimination over [C | I]: C is the (exact)
     Cartan matrix of g-natural and is always nonsingular for the catalog.
-    The elimination runs on integers, each row kept primitive by its gcd,
-    with the pivots in order: no pivot of a finite-type Cartan matrix is 0.
     """
     roots = [r.weight for r in natural_simple]
     n = len(roots)
     norms = [pair(r, r) for r in roots]
-    cartan = [[2 * pair(b, c) / norm for b in roots] for c, norm in zip(roots, norms)]
-    scale = lcm(*(v.denominator for row in cartan for v in row))
-    rows = [[int(v * scale) for v in row] + [scale * (b == c) for b in range(n)]
-            for c, row in enumerate(cartan)]
-    for col, top in enumerate(rows):
-        if not top[col]:
-            raise SingularMatrixError(col)
-        for r, row in enumerate(rows):
-            if r != col and (f := row[col]):
-                row = [top[col] * v - f * w for v, w in zip(row, top)]
-                g = gcd(*row)
-                rows[r] = [v // g for v in row]
-    # omega_a = sum_b (C^-1)[b][a] alpha_b, where (C^-1)[b][a] = rows[b][n + a] / rows[b][b]
-    columns = zip(*([Fraction(v, row[b]) for v in row[n:]] for b, row in enumerate(rows)))
-    return tuple(_weight_sum(roots[0].algebra, zip(column, roots)) for column in columns)
+    cartan = tuple(tuple(2 * pair(roots[b], roots[c]) / norms[c] for b in range(n))
+                   for c in range(n))
+    # row a holds the coefficients of omega_a over the natural simple roots
+    rows = solve_linear(cartan, [[int(b == a) for b in range(n)] for a in range(n)])
+    return tuple(_weight_sum(roots[0].algebra, zip(row, roots)) for row in rows)
 
 
 @lru_cache(maxsize=None)

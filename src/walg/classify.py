@@ -86,11 +86,10 @@ class Level(Frozen):
     """One level k of one algebra.
 
     Construction sets the facts of k = p/q on integers, as plain attributes:
-    in_range, per summand the (numerator, denominator > 0) of M_i(k)
-    (_M_ratios) and of M_i(k) + chi_i (_margin_ratios), the floors of both
-    (_floors), and whether all of each are nonnegative integers (_M_natural,
-    _margins_natural).  The cone and the k constants of A and ell0 are
-    computed on first use and kept on the instance.
+    in_range, and per summand the (numerator, denominator > 0) of M_i(k)
+    (_M_ratios) and of M_i(k) + chi_i (_margin_ratios), and the floors of
+    both (_floors).  The truncated cone and the k constants of A and ell0
+    are computed on first use and kept on the instance.
     """
 
     def __init__(self, alg: AlgebraData, k: Fraction):
@@ -115,9 +114,7 @@ class Level(Frozen):
         vars(self).update(
             alg=alg, k=k, in_range=-p * b % (q * a) == 0 and -p * b >= n0 * q * a,
             _M_ratios=tuple(M), _margin_ratios=tuple(margins),
-            _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)),
-            _M_natural=all(n >= 0 and n % d == 0 for n, d in M),
-            _margins_natural=all(n >= 0 and n % d == 0 for n, d in margins))
+            _floors=(tuple(n // d for n, d in M), tuple(n // d for n, d in margins)))
 
     @property
     def name(self) -> str:
@@ -666,8 +663,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     range asserts), and extremal labels at the threshold are settled only for
     psl2-2, spo2-3, and spo2-m at k = -1 (the row's proven_at_threshold);
     the rest stay open.  Condition 1a and the sufficient margin test read
-    flags of the level (Level._M_natural, _margins_natural); 1b, extremality
-    and A read the weight's comark values and threshold integers.
+    the level alone; 1b, extremality and A read the weight's comark values
+    and threshold integers (see _extremal and A_value).
 
     At ell0 = A(k, nu) inside the truncated cone, 1b and 1c cannot fire and
     A(k, 0) = 0, so the weight enters only through its extremality and
@@ -677,7 +674,7 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.ell0 is None:
         raise ValueError("unitarity needs a concrete ell0, not the free marker")
     _require_range(lvl)
-    if not lvl._M_natural:
+    if not all(n >= 0 and n % d == 0 for n, d in lvl._M_ratios):
         return not_unitary("1a")
     extremal = _extremal(lvl, label.nu)
     if extremal is None:
@@ -688,7 +685,8 @@ def unitarity_verdict(lvl: Level, label: WModuleLabel) -> Verdict:
     if label.nu.is_zero and label.ell0 == 0:
         return UNITARY
     if not extremal:
-        return UNITARY if lvl._margins_natural else OPEN
+        margins_natural = all(n >= 0 and n % d == 0 for n, d in lvl._margin_ratios)
+        return UNITARY if margins_natural else OPEN
     return UNITARY if lvl.alg.id.spec.proven_at_threshold(lvl.k) else OPEN
 
 

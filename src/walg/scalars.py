@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -155,6 +156,13 @@ def solve_linear(a: Matrix, b):
     tolerance anywhere, a pivot is either zero or usable.  A must be square
     and nonsingular: a singular A raises :class:`SingularMatrixError`
     carrying the rank that was reached.
+
+    The elimination runs on integers: each row of ``[A | b...]`` is scaled
+    by the lcm of its denominators, a row is reduced by cross-multiplying
+    with the pivot row and divided by its gcd, and each solution entry is
+    one Fraction at the end.  Every integer row is a nonzero multiple of the
+    row a rational elimination would hold, so the pivots, the rank and the
+    solutions are the same.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -163,22 +171,26 @@ def solve_linear(a: Matrix, b):
     sides = b if several else (b,)
     if any(len(side) != n for side in sides):
         raise DimensionError("right-hand side length does not match the matrix")
-    aug = [[rational(v) for v in row] + [rational(side[i]) for side in sides]
-           for i, row in enumerate(a)]
+    aug = []
+    for i, row in enumerate(a):
+        row = [rational(v) for v in row] + [rational(side[i]) for side in sides]
+        scale = lcm(*(v.denominator for v in row))
+        aug.append([v.numerator * (scale // v.denominator) for v in row])
     rank = 0
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(rank, n) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
+        top = aug[rank]
         for r in range(n):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w if w else v for v, w in zip(aug[r], aug[rank])]
+            if r != rank and (f := aug[r][col]):
+                row = [top[col] * v - f * w for v, w in zip(aug[r], top)]
+                g = gcd(*row) or 1
+                aug[r] = [v // g for v in row]
         rank += 1
     if rank < n:
         raise SingularMatrixError(rank)
-    solutions = tuple(tuple(row[n + j] for row in aug) for j in range(len(sides)))
+    solutions = tuple(tuple(Fraction(row[n + j], row[i]) for i, row in enumerate(aug))
+                      for j in range(len(sides)))
     return solutions if several else solutions[0]

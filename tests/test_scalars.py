@@ -116,6 +116,13 @@ def test_solve_singular_reports_rank():
     assert err.value.rank == 1
 
 
+def test_solve_singular_with_a_consistent_side_reports_rank():
+    # the second row of [A | b] reduces to all zeros
+    with pytest.raises(SingularMatrixError) as err:
+        solve_linear(((1, 2), (2, 4)), [vector([1, 2]), vector([0, 0])])
+    assert err.value.rank == 1
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionError):
         solve_linear(((1, 2),), vector([1]))
@@ -186,6 +193,42 @@ def test_several_right_hand_sides_report_the_same_rank(data):
     with pytest.raises(SingularMatrixError) as several:
         solve_linear(rows, [vector(b) for b in sides])
     assert several.value.rank == one.value.rank < len(rows)
+
+
+def rational_gauss_jordan(rows, sides):
+    """The elimination solve_linear ran on Fractions before it ran on
+    integers: the first nonzero pivot per column, each pivot row scaled to
+    1.  Returns the solutions, or the rank reached on a singular matrix."""
+    n = len(rows)
+    aug = [[F(v) for v in row] + [F(side[i]) for side in sides] for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        aug[rank] = [v / aug[rank][col] for v in aug[rank]]
+        for r in range(n):
+            if r != rank and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
+        rank += 1
+    if rank < n:
+        return rank
+    return tuple(tuple(row[n + j] for row in aug) for j in range(len(sides)))
+
+
+@settings(max_examples=80)
+@given(st.booleans().flatmap(square_systems))
+def test_the_integer_elimination_matches_the_rational_one(data):
+    rows, sides = data
+    expected = rational_gauss_jordan(rows, sides)
+    if isinstance(expected, int):
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(rows, [vector(b) for b in sides])
+        assert err.value.rank == expected
+    else:
+        assert solve_linear(rows, [vector(b) for b in sides]) == expected
 
 
 @pytest.mark.parametrize("sides", [
